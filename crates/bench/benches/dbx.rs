@@ -1,14 +1,13 @@
 //! Timing benches for the data-management experiments (E10, E17, E18,
 //! E21 in timing form) and the perturbation explainers. Plain binaries on
 //! `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
-use xai_counterfactual::{geco, geco_parallel, random_search_counterfactual, GecoConfig, Plaf};
+use xai_counterfactual::{
+    geco, random_search_counterfactual, try_geco_parallel, GecoConfig, Plaf,
+};
 use xai_data::synth::german_credit;
-use xai_models::{proba_fn, LogisticConfig, LogisticRegression};
+use xai_models::{batch_from_scalar, proba_fn, LogisticConfig, LogisticRegression};
 use xai_provenance::{
     retrain_ridge, tuple_shapley_exact, tuple_shapley_sampled, IncrementalRidge, Polynomial,
 };
@@ -28,7 +27,7 @@ fn bench_geco() {
     let mut group = Group::new("counterfactual_search").samples(7);
     group.bench("geco_genetic", || geco(&fm, &data, &x, &plaf, GecoConfig::default(), 3));
     group.bench(&format!("geco_4starts_parallel_{workers}w"), || {
-        geco_parallel(&fm, &data, &x, &plaf, GecoConfig::default(), 3, 4, workers)
+        try_geco_parallel(&fm, &data, &x, &plaf, GecoConfig::default(), 3, 4, workers).ok()
     });
     group.bench("random_search_1500", || {
         random_search_counterfactual(&fm, &data, &x, &plaf, 1500, 3)
@@ -88,7 +87,7 @@ fn bench_lime() {
     let data = german_credit(600, 17);
     let model = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
     let lime = LimeExplainer::fit(&data);
-    let fm = proba_fn(&model);
+    let fm = batch_from_scalar(proba_fn(&model));
     let x = data.row(0).to_vec();
     let mut group = Group::new("lime").samples(7);
     for n in [250usize, 1000, 4000] {

@@ -1,9 +1,6 @@
 //! Timing benches for the Shapley estimators (experiments E1/E3 in timing
 //! form), plus the parallel-vs-sequential Monte-Carlo comparison. Plain
 //! binaries on `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
 use xai_core::{CoalitionMemo, FnOracle, GameKey, ModelOracle};
@@ -14,9 +11,9 @@ use xai_models::{
 };
 use xai_rand::parallel::default_workers;
 use xai_shapley::{
-    brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, kernel_shap_batched,
-    permutation_shapley, permutation_shapley_parallel, tree_shap, BatchPredictionGame, CachedGame,
-    KernelShapConfig, MaskedPredictionGame, MemoGame, PredictionGame,
+    brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, permutation_shapley, tree_shap,
+    try_permutation_shapley_grid, BatchPredictionGame, CachedGame, KernelShapConfig,
+    MaskedPredictionGame, MemoGame, PredictionGame,
 };
 
 /// E1: exact enumeration cost doubles per feature; samplers stay flat.
@@ -45,7 +42,8 @@ fn bench_exact_vs_samplers() {
 
 /// Scalar vs. batched vs. masked Kernel SHAP on the same
 /// wide-folded-logistic configuration as `shapley_scaling`'s `kernel512`
-/// entries. The batched path materializes each coalition round into one
+/// entries: one estimator core, five games. The batched game materializes
+/// each coalition round into one
 /// matrix and runs the model through the blocked `xai_linalg` kernels;
 /// the cached variant adds the per-call coalition memo on top. The
 /// `masked/` variants skip materialization entirely (DESIGN.md §12):
@@ -93,10 +91,10 @@ fn bench_kernel_shap_batched() {
         let batch_game = BatchPredictionGame::new(&wide_batched, &instance, &background);
         let cfg = KernelShapConfig { max_coalitions: 512, ..Default::default() };
         let scalar = group.bench(&format!("scalar/{d}"), || kernel_shap(&game, cfg));
-        let batched = group.bench(&format!("batched/{d}"), || kernel_shap_batched(&batch_game, cfg));
+        let batched = group.bench(&format!("batched/{d}"), || kernel_shap(&batch_game, cfg));
         // Warm memo across samples: after the first run every coalition hits.
         let cached_game = CachedGame::new(&batch_game);
-        group.bench(&format!("batched_cached/{d}"), || kernel_shap_batched(&cached_game, cfg));
+        group.bench(&format!("batched_cached/{d}"), || kernel_shap(&cached_game, cfg));
         // Zero-copy masked path: at d = 9 the fold is the identity, so the
         // logistic model itself is the oracle and coalitions run straight
         // through its masked affine kernel; at d = 6 the fold closure has
@@ -104,12 +102,12 @@ fn bench_kernel_shap_batched() {
         let fold_oracle = FnOracle::new(d, &wide);
         let oracle: &dyn ModelOracle = if d == 9 { model_ref } else { &fold_oracle };
         let masked_game = MaskedPredictionGame::new(oracle, &instance, &background);
-        let masked = group.bench(&format!("masked/{d}"), || kernel_shap_batched(&masked_game, cfg));
+        let masked = group.bench(&format!("masked/{d}"), || kernel_shap(&masked_game, cfg));
         // Warm cross-request memo, shared across samples like CachedGame.
         let memo = CoalitionMemo::new(1 << 14);
         let memo_game =
             MemoGame::new(&masked_game, &memo, GameKey::derive(1, &background, &instance));
-        group.bench(&format!("masked_memo/{d}"), || kernel_shap_batched(&memo_game, cfg));
+        group.bench(&format!("masked_memo/{d}"), || kernel_shap(&memo_game, cfg));
         speedups.push((
             d,
             scalar.as_secs_f64() / batched.as_secs_f64(),
@@ -122,9 +120,9 @@ fn bench_kernel_shap_batched() {
     }
 }
 
-/// The tentpole measurement: 1000-permutation Monte-Carlo Shapley,
-/// sequential executor vs. the `xai_rand` fork-join executor at the
-/// machine's worker count. Prints the speedup; on a single-core host the
+/// 1000-permutation Monte-Carlo Shapley, the sequential core vs. the
+/// chunk grid on the `xai_rand` fork-join executor at the machine's
+/// worker count. Prints the speedup; on a single-core host the
 /// two are expected to tie (modulo thread overhead).
 fn bench_parallel_mc_shapley() {
     let data = german_credit(200, 1);
@@ -138,9 +136,11 @@ fn bench_parallel_mc_shapley() {
 
     let mut group = Group::new("mc_shapley_1k").samples(7);
     let seq = group.bench("sequential_1000perms", || permutation_shapley(&game, 1000, 3));
-    let par1 = group.bench("parallel_1worker", || permutation_shapley_parallel(&game, 1000, 3, 1));
+    let par1 = group.bench("parallel_1worker", || {
+        try_permutation_shapley_grid(&game, 1000, 3, 1).unwrap()
+    });
     let parn = group.bench(&format!("parallel_{workers}workers"), || {
-        permutation_shapley_parallel(&game, 1000, 3, workers)
+        try_permutation_shapley_grid(&game, 1000, 3, workers).unwrap()
     });
     group.finish();
     println!(

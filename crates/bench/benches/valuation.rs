@@ -1,15 +1,12 @@
 //! Timing benches for data valuation and influence (E13/E14 in timing
 //! form), including the parallel TMC executor. Plain binaries on
 //! `xai_bench::timing` — run with `cargo bench -p xai-bench`.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_bench::timing::Group;
 use xai_data::synth::linear_gaussian;
 use xai_datavalue::{
     influence_on_test_loss, knn_shapley, leave_one_out, retraining_ground_truth, tmc_shapley,
-    tmc_shapley_parallel, LogisticUtility, Solver, TmcConfig,
+    try_tmc_shapley_parallel, LogisticUtility, Solver, TmcConfig,
 };
 use xai_models::{LogisticConfig, LogisticRegression};
 use xai_rand::parallel::default_workers;
@@ -26,7 +23,7 @@ fn bench_valuation() {
     group.bench("leave_one_out", || leave_one_out(&u));
     let seq = group.bench("tmc_50perms", || tmc_shapley(&u, cfg));
     let par = group.bench(&format!("tmc_50perms_parallel_{workers}w"), || {
-        tmc_shapley_parallel(&u, cfg, workers)
+        try_tmc_shapley_parallel(&u, cfg, workers).unwrap()
     });
     group.finish();
     println!("  tmc speedup vs sequential: {:.2}x ({workers} workers)", seq.as_secs_f64() / par.as_secs_f64());

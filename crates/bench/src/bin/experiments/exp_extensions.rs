@@ -8,7 +8,7 @@ use xai_datavalue::{
     TmcConfig,
 };
 use xai_models::{
-    proba_fn, Gbdt, GbdtConfig, GbdtLoss, LogisticConfig, Mlp, MlpConfig,
+    batch_from_scalar, proba_fn, Gbdt, GbdtConfig, GbdtLoss, LogisticConfig, Mlp, MlpConfig,
     Regressor,
 };
 use xai_provenance::LogisticUnlearner;
@@ -188,7 +188,8 @@ pub fn e27(quick: bool) {
         let x = test.row(i);
         let (e_cx, d1) = time(|| cx.explain(x));
         t_cx += d1;
-        let (e_lime, d2) = time(|| lime.explain(&fm, x, LimeConfig::default(), i as u64));
+        let surface = batch_from_scalar(&fm);
+        let (e_lime, d2) = time(|| lime.explain(&surface, x, LimeConfig::default(), i as u64));
         t_lime += d2;
         let hits = |ranking: Vec<usize>| -> f64 {
             ranking.iter().take(3).filter(|&&j| j < 5).count() as f64 / 3.0

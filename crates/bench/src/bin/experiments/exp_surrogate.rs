@@ -4,7 +4,9 @@
 use xai_bench::{f, Table};
 use xai_data::metrics::demographic_parity_gap;
 use xai_data::synth::{circles, german_credit, recidivism};
-use xai_models::{proba_fn, ForestConfig, LogisticConfig, LogisticRegression, RandomForest};
+use xai_models::{
+    batch_from_scalar, proba_fn, ForestConfig, LogisticConfig, LogisticRegression, RandomForest,
+};
 use xai_surrogate::{
     lime_audit, lime_stability, AttackConfig, LimeConfig, LimeExplainer, ScaffoldedModel,
 };
@@ -95,7 +97,7 @@ pub fn e7(quick: bool) {
     );
     for width in [0.2, 0.5, 1.0, 3.0, 10.0] {
         let exp = lime.explain(
-            &fm,
+            &batch_from_scalar(&fm),
             data.row(0),
             LimeConfig { kernel_width: Some(width), n_samples: 2000, ..LimeConfig::default() },
             3,

@@ -1,16 +1,13 @@
 //! The unified explainer layer (DESIGN.md §9): one object-safe trait and
 //! one execution plan over every explanation family in the workspace.
 //!
-//! PRs 1–4 grew each estimator a thicket of free-function twins — up to
-//! eight public entry points per method (`kernel_shap`, `_batched`,
-//! `_parallel`, `_batched_parallel`, plus `try_*` of each). This module
-//! collapses that surface into a single shape:
+//! Every explanation family is reached through a single shape:
 //!
 //! - [`Explainer`] — `card()` (taxonomy metadata) + `explain()` (run it);
 //! - [`RunConfig`] (alias [`ExecPlan`]) — seed, worker count, batch
 //!   switch, [`SampleBudget`], and [`DegradationPolicy`] in one value, so
-//!   the scalar/batched/parallel/budgeted variants become *configuration*
-//!   of one code path instead of separate functions;
+//!   scalar/batched/parallel/budgeted execution is *configuration* of one
+//!   estimator core instead of separate functions;
 //! - [`ExplainRequest`] — the inputs every family draws from (dataset,
 //!   instance, background, held-out test set, utility, feature index);
 //! - [`Explanation`] — a sum type over the workspace's output forms;
@@ -19,13 +16,13 @@
 //!   a prediction oracle with optional batch, gradient and downcast
 //!   capabilities that model-specific methods can probe at runtime.
 //!
-//! Determinism contract: for a given method, `RunConfig { seed, workers,
-//! batched, .. }` selects exactly the legacy twin that previously served
-//! that combination, so results are bit-identical to the old entry points
-//! at the same seed (`tests/unified_api.rs` enforces this). As before,
-//! batched evaluation never changes draws, while `workers > 1` selects the
-//! fixed-chunk parallel sampling streams — worker-count-invariant among
-//! themselves but intentionally distinct from the sequential stream.
+//! Determinism contract: each sampled method has one sequential core and
+//! one chunk-grid core. `batched` picks only the model surface they
+//! evaluate on and never changes draws or bits, while `workers > 1`
+//! selects the fixed-chunk grid — worker-count-invariant, identical to
+//! every sharded execution of the same plan, and intentionally distinct
+//! from the sequential stream (`tests/unified_api.rs` and
+//! `tests/backend_equivalence.rs` enforce this).
 
 use std::any::Any;
 
@@ -49,25 +46,26 @@ pub enum DegradationPolicy {
     Strict,
 }
 
-/// The execution plan for one `explain` call: every switch that used to
-/// pick between free-function twins, in one value.
+/// The execution plan for one `explain` call: every execution switch in
+/// one value.
 ///
-/// | field | legacy twin it replaces |
+/// | field | what it selects |
 /// |---|---|
 /// | `seed` | the `seed` argument threaded through every estimator |
-/// | `workers` | `*_parallel` (`> 1`) vs sequential (`== 1`) |
-/// | `batched` | `*_batched` coalition/neighbourhood materialization |
-/// | `budget` | `*_budgeted` best-effort estimation |
-/// | `degradation` | (new) strict rejection of ridge-escalated solves |
+/// | `workers` | the chunk-grid core (`> 1`) vs the sequential core (`== 1`) |
+/// | `batched` | the batched model surface for coalitions / neighbourhoods |
+/// | `budget` | the budgeted best-effort run |
+/// | `degradation` | strict rejection of ridge-escalated solves |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunConfig {
     /// PRNG seed for every stochastic draw the method makes.
     pub seed: u64,
-    /// Worker threads; `1` selects the sequential sampling stream,
-    /// `> 1` the fixed-chunk parallel streams (worker-count-invariant).
+    /// Worker threads; `1` selects the sequential core, `> 1` the
+    /// fixed-chunk grid core (worker-count-invariant).
     pub workers: usize,
-    /// Route model evaluation through the batched kernels
-    /// (bit-identical to scalar evaluation at the same seed).
+    /// Route model evaluation through the batched kernels. Picks only
+    /// the model surface, never the estimator, so it is bit-identical to
+    /// scalar evaluation at the same seed and worker count.
     pub batched: bool,
     /// Evaluation/wall-clock budget for Monte-Carlo methods.
     pub budget: SampleBudget,

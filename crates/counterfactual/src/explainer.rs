@@ -3,18 +3,15 @@
 //! plausibility/feasibility constraints, and DiCE's diverse set.
 //!
 //! Dispatch contract: `workers > 1` selects GeCo's fixed-chunk parallel
-//! multi-start twin and DiCE's candidate pool (`k · restarts`
+//! multi-start search and DiCE's candidate pool (`k · restarts`
 //! independent searches, candidate `c` at `child_seed(seed, c)`, merged
 //! by a greedy diverse selection) — both worker-count invariant though a
 //! different search schedule than `workers == 1`, and for DiCE the pool
 //! is the grid the shard layer partitions. Wachter is deterministic
 //! gradient descent with no random draws, so every execution plan
-//! returns the same result. None of the searches has a batched or
-//! budgeted twin; a `SampleBudget` is rejected as
-//! [`XaiError::Unsupported`].
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! returns the same result. The searches call the model one candidate
+//! at a time, so `batched` is a no-op, and none has a budgeted path; a
+//! `SampleBudget` is rejected as [`XaiError::Unsupported`].
 
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
@@ -91,7 +88,7 @@ impl Explainer for WachterMethod {
 pub struct GecoMethod {
     /// Population / generation schedule.
     pub config: GecoConfig,
-    /// Restarts for the parallel multi-start twin (`workers > 1`).
+    /// Restarts for the parallel multi-start search (`workers > 1`).
     pub starts: usize,
 }
 

@@ -12,22 +12,20 @@
 //! trait as everything else.
 //!
 //! Dispatch contract: `workers > 1` selects the fixed-chunk parallel
-//! twins (worker-count-invariant, but a different draw schedule than the
-//! sequential estimator — same as the legacy free functions);
+//! grids (worker-count-invariant, but a different draw schedule than the
+//! sequential estimator);
 //! `RunConfig::budget` is honoured by TMC (via
 //! [`try_tmc_shapley_budgeted`]) and by Banzhaf (via
 //! [`try_data_banzhaf_budgeted`]), each on the sequential path only —
 //! budget + `workers > 1` is rejected as [`XaiError::Unsupported`], as is
 //! a budget on LOO, whose deterministic point sweep has no draw stream to
-//! truncate. No method here has a batched twin, so `batched` is a no-op.
+//! truncate. Utilities retrain rather than call a model surface, so
+//! `batched` is a no-op.
 //!
 //! All three methods are shardable (DESIGN.md §11): permutation chunks
 //! (TMC), per-point coalition streams (Banzhaf) and fixed point chunks
 //! (LOO) partition onto [`ShardableExplainer`] grids whose merged
 //! partials are bit-identical to the parallel dispatch above.
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
 
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
@@ -377,7 +375,7 @@ impl ShardableExplainer for BanzhafMethod {
         reject_budget("Data Banzhaf", req)?;
         let n = resolve_utility(req).n_train();
         // One chunk per training point: point i draws from child_seed(seed, i)
-        // exactly as in the per-point parallel twin.
+        // exactly as in the per-point parallel grid.
         Ok(DrawGrid { total_draws: n, chunk_size: 1 })
     }
 

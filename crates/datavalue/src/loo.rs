@@ -9,9 +9,9 @@
 
 use crate::utility::{check_finite_values, Utility};
 use xai_core::{catch_model, DataAttribution, XaiError, XaiResult};
-use xai_rand::parallel::{par_map_chunks, try_par_map_chunks};
+use xai_rand::parallel::try_par_map_chunks;
 
-/// Points handled per executor task in [`leave_one_out_parallel`]. Fixed
+/// Points handled per executor task in [`try_leave_one_out_parallel`]. Fixed
 /// (never derived from the worker count) so the chunk grid — and hence the
 /// result — is worker-invariant.
 pub(crate) const POINTS_PER_CHUNK: usize = 8;
@@ -19,7 +19,7 @@ pub(crate) const POINTS_PER_CHUNK: usize = 8;
 /// One executor chunk of leave-one-out values: walks the in-place hole
 /// buffer over `range`, exactly like the corresponding slice of the
 /// sequential pass. The single source of the chunk body — the parallel
-/// twin and the shard layer both call this, which is what makes sharded
+/// grid and the shard layer both call this, which is what makes sharded
 /// partials merge bit-identically. Draws no randomness.
 pub(crate) fn loo_chunk_values(
     utility: &dyn Utility,
@@ -74,32 +74,15 @@ pub fn try_leave_one_out(utility: &dyn Utility) -> XaiResult<DataAttribution> {
     Ok(att)
 }
 
-/// [`leave_one_out`] with the per-point retrainings spread across
+/// [`try_leave_one_out`] with the per-point retrainings spread across
 /// `workers` threads. Points are split into fixed-size chunks; each chunk
 /// walks its own in-place scratch buffer exactly like the sequential path
 /// and chunk results are concatenated in order, so the output is
 /// bit-identical to [`leave_one_out`] for every worker count.
-#[deprecated(note = "superseded by the unified explainer layer: use LooMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn leave_one_out_parallel<U: Utility + Sync>(utility: &U, workers: usize) -> DataAttribution {
-    assert!(workers >= 1, "need at least one worker");
-    let n = utility.n_train();
-    let all: Vec<usize> = (0..n).collect();
-    let full = utility.eval(&all);
-    // LOO draws no randomness; the executor is used purely for fork-join.
-    let chunks = par_map_chunks(n, POINTS_PER_CHUNK, 0, workers, |_chunk, range, _rng| {
-        loo_chunk_values(utility, full, range)
-    });
-    let values: Vec<f64> = chunks.into_iter().flatten().collect();
-    DataAttribution { values, measure: "leave-one-out utility change".into() }
-}
-
-/// Fallible twin of [`leave_one_out_parallel`]: a panic inside a worker
-/// chunk yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); non-finite scores yield
-/// [`XaiError::ModelFault`].
-#[deprecated(note = "superseded by the unified explainer layer: use LooMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
+///
+/// A panic inside a worker chunk yields [`XaiError::WorkerPanic`] naming
+/// the lowest-indexed panicking chunk (worker-count invariant); non-finite
+/// scores yield [`XaiError::ModelFault`].
 pub fn try_leave_one_out_parallel<U: Utility + Sync>(
     utility: &U,
     workers: usize,
@@ -143,7 +126,6 @@ pub fn exact_data_shapley(utility: &dyn Utility) -> DataAttribution {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::utility::FnUtility;
@@ -185,7 +167,7 @@ mod tests {
         });
         let seq = leave_one_out(&u);
         for workers in [1, 2, 4, 7] {
-            let par = leave_one_out_parallel(&u, workers);
+            let par = try_leave_one_out_parallel(&u, workers).unwrap();
             assert_eq!(seq.values, par.values, "workers={workers} diverged");
         }
     }

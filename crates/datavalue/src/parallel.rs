@@ -21,7 +21,7 @@ use xai_rand::Rng;
 pub(crate) const PERMS_PER_CHUNK: usize = 16;
 
 /// Evaluates and validates the TMC truncation endpoints `U(D)` and
-/// `U(∅)`. Shared by the in-process parallel twin and the shard layer so
+/// `U(∅)`. Shared by the in-process parallel grid and the shard layer so
 /// both reject a faulty utility with the same typed error.
 pub(crate) fn tmc_endpoints(utility: &dyn Utility) -> XaiResult<(f64, f64)> {
     let n = utility.n_train();
@@ -39,7 +39,7 @@ pub(crate) fn tmc_endpoints(utility: &dyn Utility) -> XaiResult<(f64, f64)> {
 
 /// One executor chunk of TMC permutation walks: `count` truncated
 /// permutations drawn from `rng`, accumulated into per-point marginal
-/// sums. The single source of the chunk body — the parallel twin and the
+/// sums. The single source of the chunk body — the parallel grid and the
 /// shard layer both call this, which is what makes sharded partials merge
 /// bit-identically.
 pub(crate) fn tmc_chunk_sums(
@@ -73,7 +73,7 @@ pub(crate) fn tmc_chunk_sums(
 
 /// Reduces ordered per-chunk marginal sums to the final TMC attribution:
 /// left-fold in chunk order, divide by the permutation count, reject
-/// non-finite values. Shared epilogue of the parallel twin and the shard
+/// non-finite values. Shared epilogue of the parallel grid and the shard
 /// merge.
 pub(crate) fn tmc_finish(
     partials: Vec<Vec<f64>>,
@@ -92,7 +92,7 @@ pub(crate) fn tmc_finish(
 }
 
 /// One executor task of data Banzhaf: all coalition draws for training
-/// point `i` from stream `rng`, averaged. Shared by the parallel twin and
+/// point `i` from stream `rng`, averaged. Shared by the parallel grid and
 /// the shard layer (one shard chunk per point).
 pub(crate) fn banzhaf_point(
     utility: &dyn Utility,
@@ -119,7 +119,7 @@ pub(crate) fn banzhaf_point(
 }
 
 /// Validates per-point Banzhaf values and stamps the measure string.
-/// Shared epilogue of the parallel twin and the shard merge.
+/// Shared epilogue of the parallel grid and the shard merge.
 pub(crate) fn banzhaf_finish(values: Vec<f64>, workers: usize) -> XaiResult<DataAttribution> {
     check_finite_values(&values, "parallel data Banzhaf")?;
     Ok(DataAttribution { values, measure: format!("data Banzhaf ({workers} workers)") })
@@ -130,27 +130,9 @@ pub(crate) fn banzhaf_finish(values: Vec<f64>, workers: usize) -> XaiResult<Data
 /// regardless of `workers` (see module docs); it converges to the same
 /// estimand as the sequential `tmc_shapley`.
 ///
-/// # Panics
-/// Panics when the utility panics or returns non-finite scores; use
-/// [`try_tmc_shapley_parallel`] for typed errors.
-#[deprecated(note = "superseded by the unified explainer layer: use TmcMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn tmc_shapley_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: TmcConfig,
-    workers: usize,
-) -> DataAttribution {
-    try_tmc_shapley_parallel(utility, config, workers)
-        .expect("parallel TMC-Shapley failed; try_tmc_shapley_parallel recovers this")
-}
-
-/// Fallible twin of [`tmc_shapley_parallel`]: a panic inside a worker
-/// chunk yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); non-finite utility scores
-/// yield [`XaiError::ModelFault`]. Fault-free runs are bit-identical to
-/// [`tmc_shapley_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use TmcMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
+/// A panic inside a worker chunk yields [`XaiError::WorkerPanic`] naming
+/// the lowest-indexed panicking chunk (worker-count invariant); non-finite
+/// utility scores yield [`XaiError::ModelFault`].
 pub fn try_tmc_shapley_parallel<U: Utility + Sync>(
     utility: &U,
     config: TmcConfig,
@@ -181,27 +163,9 @@ pub fn try_tmc_shapley_parallel<U: Utility + Sync>(
 /// single-stream sequential `data_banzhaf` draw-for-draw — both are
 /// unbiased estimates of the same semivalue).
 ///
-/// # Panics
-/// Panics when the utility panics or returns non-finite scores; use
-/// [`try_data_banzhaf_parallel`] for typed errors.
-#[deprecated(note = "superseded by the unified explainer layer: use BanzhafMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn data_banzhaf_parallel<U: Utility + Sync>(
-    utility: &U,
-    config: BanzhafConfig,
-    workers: usize,
-) -> DataAttribution {
-    try_data_banzhaf_parallel(utility, config, workers)
-        .expect("parallel data Banzhaf failed; try_data_banzhaf_parallel recovers this")
-}
-
-/// Fallible twin of [`data_banzhaf_parallel`]: a panic inside a worker
-/// task yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking task (worker-count invariant); non-finite utility scores
-/// yield [`XaiError::ModelFault`]. Fault-free runs are bit-identical to
-/// [`data_banzhaf_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use BanzhafMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
+/// A panic inside a worker task yields [`XaiError::WorkerPanic`] naming
+/// the lowest-indexed panicking task (worker-count invariant); non-finite
+/// utility scores yield [`XaiError::ModelFault`].
 pub fn try_data_banzhaf_parallel<U: Utility + Sync>(
     utility: &U,
     config: BanzhafConfig,
@@ -217,7 +181,6 @@ pub fn try_data_banzhaf_parallel<U: Utility + Sync>(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::banzhaf::exact_data_banzhaf;
@@ -236,11 +199,12 @@ mod tests {
     fn parallel_matches_exact() {
         let u = game();
         let exact = exact_data_shapley(&u);
-        let par = tmc_shapley_parallel(
+        let par = try_tmc_shapley_parallel(
             &u,
             TmcConfig { permutations: 4000, truncation_tolerance: 0.0, seed: 3 },
             4,
-        );
+        )
+        .unwrap();
         for (a, b) in par.values.iter().zip(&exact.values) {
             assert!((a - b).abs() < 0.03, "{a} vs {b}");
         }
@@ -250,8 +214,8 @@ mod tests {
     fn deterministic_for_fixed_seed() {
         let u = game();
         let cfg = TmcConfig { permutations: 64, truncation_tolerance: 0.0, seed: 9 };
-        let a = tmc_shapley_parallel(&u, cfg, 3);
-        let b = tmc_shapley_parallel(&u, cfg, 3);
+        let a = try_tmc_shapley_parallel(&u, cfg, 3).unwrap();
+        let b = try_tmc_shapley_parallel(&u, cfg, 3).unwrap();
         assert_eq!(a.values, b.values);
     }
 
@@ -261,9 +225,9 @@ mod tests {
         // worker count reproduces the exact same floating-point output.
         let u = game();
         let cfg = TmcConfig { permutations: 96, truncation_tolerance: 0.0, seed: 11 };
-        let one = tmc_shapley_parallel(&u, cfg, 1);
+        let one = try_tmc_shapley_parallel(&u, cfg, 1).unwrap();
         for workers in [2, 4, 8] {
-            let w = tmc_shapley_parallel(&u, cfg, workers);
+            let w = try_tmc_shapley_parallel(&u, cfg, workers).unwrap();
             assert_eq!(one.values, w.values, "workers={workers} diverged");
         }
     }
@@ -275,7 +239,7 @@ mod tests {
         let u = game();
         let cfg = TmcConfig { permutations: 3000, truncation_tolerance: 0.0, seed: 5 };
         let seq = tmc_shapley(&u, cfg);
-        let par = tmc_shapley_parallel(&u, cfg, 1);
+        let par = try_tmc_shapley_parallel(&u, cfg, 1).unwrap();
         let sum_seq: f64 = seq.attribution.values.iter().sum();
         let sum_par: f64 = par.values.iter().sum();
         assert!((sum_seq - sum_par).abs() < 1e-9, "efficiency is exact in both");
@@ -289,8 +253,8 @@ mod tests {
         let u = game();
         let cfg = BanzhafConfig { samples_per_point: 2000, seed: 7 };
         let exact = exact_data_banzhaf(&u);
-        let p1 = data_banzhaf_parallel(&u, cfg, 1);
-        let p4 = data_banzhaf_parallel(&u, cfg, 4);
+        let p1 = try_data_banzhaf_parallel(&u, cfg, 1).unwrap();
+        let p4 = try_data_banzhaf_parallel(&u, cfg, 4).unwrap();
         assert_eq!(p1.values, p4.values, "worker count changed the draw");
         for (a, b) in p1.values.iter().zip(&exact.values) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");

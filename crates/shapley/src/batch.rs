@@ -1,14 +1,14 @@
-//! Batched coalition evaluation: the [`BatchGame`] abstraction plus its
-//! **materializing** implementation.
+//! Batched coalition evaluation: the **materializing** prediction game
+//! and the per-game memo.
 //!
 //! The Monte-Carlo estimators spend essentially all of their time asking a
 //! game for coalition values, and for prediction games each such call
 //! assembles `|background|` perturbed rows and feeds them through the
-//! model one row at a time. This module holds the trait that amortizes
-//! that cost and one of two strategies for implementing it:
+//! model one row at a time. [`CooperativeGame::values`] is the
+//! many-coalitions-in / many-values-out entry point every estimator
+//! evaluates through; its default is the scalar loop, and the games here
+//! override it:
 //!
-//! - [`BatchGame`] extends [`CooperativeGame`] with a many-coalitions-in /
-//!   many-values-out entry point;
 //! - [`BatchPredictionGame`] materializes *all* perturbed rows of a
 //!   sampling round into one [`Matrix`] and makes a single call through a
 //!   batched model surface (`Fn(&Matrix) -> Vec<f64>`, see
@@ -17,56 +17,37 @@
 //!   game instance*, so repeated subsets hit a hash map instead of the
 //!   model.
 //!
-//! Materialization is **not** the only strategy, and since the zero-copy
-//! layer (DESIGN.md §12) it is no longer the default one. Which path a
-//! `batched: true` plan takes is decided in `explainer.rs`:
+//! Each estimator has **one core** (one sequential function and one
+//! chunk-grid function), and `RunConfig::batched` picks only the game that
+//! core runs over, in `explainer.rs`:
 //!
-//! - **≤ 64 features and a [`xai_core::ModelOracle`]** — the unified
-//!   explainers build a [`crate::masked::MaskedPredictionGame`], which
-//!   encodes each coalition as a `u64` bitmask and evaluates it through
+//! - **`batched: false`** — the scalar [`crate::PredictionGame`], whose
+//!   `values` is the default row loop;
+//! - **`batched: true`, ≤ 64 features** — the zero-copy
+//!   [`crate::masked::MaskedPredictionGame`], which encodes each coalition
+//!   as a `u64` bitmask and evaluates it through
 //!   `ModelOracle::predict_masked` with **no perturbed row ever copied**
 //!   (masked kernels in `xai_linalg::batch`, arena scratch for outputs).
 //!   When the request carries a shared [`xai_core::CoalitionMemo`] handle,
-//!   the game is additionally wrapped in a
-//!   [`crate::masked::MemoGame`] — the cross-request generalization of
-//!   [`CachedGame`].
-//! - **> 64 features, or callers holding only a closure** — the
-//!   [`BatchPredictionGame`] here, which trades one big allocation for
-//!   batched inference and works at any arity. The legacy `*_batched`
-//!   free-function twins also remain on this path.
+//!   the game is additionally wrapped in a [`crate::masked::MemoGame`] —
+//!   the cross-request generalization of [`CachedGame`];
+//! - **`batched: true`, > 64 features** — the [`BatchPredictionGame`]
+//!   here, which trades one big allocation for batched inference and
+//!   works at any arity.
 //!
-//! Everything on either path preserves the workspace determinism contract
-//! *bitwise*: a batched estimator run equals its scalar counterpart
-//! bit-for-bit at the same seed and worker count
-//! (`tests/batch_equivalence.rs`, `tests/masked_equivalence.rs`), because
-//! (a) randomness is always drawn before evaluation and evaluation never
-//! consumes randomness, (b) per-coalition averaging keeps the background
-//! accumulation order, and (c) the batched and masked model kernels are
-//! themselves bit-identical to the scalar predictors.
+//! Every game preserves the workspace determinism contract *bitwise*: an
+//! estimator returns the same bits over any of them at the same seed and
+//! worker count (`tests/batch_equivalence.rs`,
+//! `tests/masked_equivalence.rs`), because (a) randomness is always drawn
+//! before evaluation and evaluation never consumes randomness, (b)
+//! per-coalition averaging keeps the background accumulation order, and
+//! (c) the batched and masked model kernels are themselves bit-identical
+//! to the scalar predictors.
 
-use crate::game::{CooperativeGame, TableGame};
+use crate::game::CooperativeGame;
 use std::collections::HashMap;
 use std::sync::Mutex;
 use xai_linalg::Matrix;
-
-/// A cooperative game that can evaluate many coalitions per call.
-///
-/// The default implementation is the scalar loop, so any game is trivially
-/// a `BatchGame`; games backed by batched model inference override
-/// [`BatchGame::values`] to amortize the per-call cost.
-pub trait BatchGame: CooperativeGame {
-    /// Values of all `coalitions`, in order. Must equal
-    /// `coalitions.iter().map(|c| self.value(c))` bit-for-bit.
-    fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
-        coalitions.iter().map(|c| self.value(c)).collect()
-    }
-}
-
-impl BatchGame for TableGame {}
-
-// A scalar prediction game is a batch game via the default row loop, so
-// the batched estimator entry points accept it as a drop-in.
-impl<F: Fn(&[f64]) -> f64 + ?Sized> BatchGame for crate::game::PredictionGame<'_, F> {}
 
 /// The SHAP prediction game over a **batched** model surface: semantics of
 /// [`crate::PredictionGame`] (marginal expectation over a background
@@ -74,7 +55,7 @@ impl<F: Fn(&[f64]) -> f64 + ?Sized> BatchGame for crate::game::PredictionGame<'_
 /// perturbed row.
 ///
 /// Generic over the model's function type exactly like `PredictionGame`,
-/// so `Sync` closures yield a `Sync` game for the parallel estimators.
+/// so `Sync` closures yield a `Sync` game for the chunk-grid estimators.
 pub struct BatchPredictionGame<'a, F: ?Sized = dyn Fn(&Matrix) -> Vec<f64> + 'a> {
     model: &'a F,
     instance: &'a [f64],
@@ -110,9 +91,7 @@ impl<F: Fn(&Matrix) -> Vec<f64> + ?Sized> CooperativeGame for BatchPredictionGam
     fn value(&self, coalition: &[bool]) -> f64 {
         self.values(std::slice::from_ref(&coalition.to_vec()))[0]
     }
-}
 
-impl<F: Fn(&Matrix) -> Vec<f64> + ?Sized> BatchGame for BatchPredictionGame<'_, F> {
     fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
         let b = self.background.rows();
         let d = self.instance.len();
@@ -163,7 +142,7 @@ struct CacheState {
     misses: usize,
 }
 
-/// A memoizing wrapper around any [`BatchGame`]: coalition values are
+/// A memoizing wrapper around any [`CooperativeGame`]: coalition values are
 /// cached under their membership bitmask (player `i` ⇔ bit `i`), so
 /// repeated subsets within a seeded run — common in permutation walks and
 /// sampled Kernel SHAP — cost one hash lookup instead of a model round.
@@ -174,12 +153,12 @@ struct CacheState {
 /// wrapper is `Sync` (the memo sits behind a [`Mutex`]) and misses are
 /// evaluated *outside* the lock, batched per call, so parallel workers
 /// share the cache without serializing their model rounds.
-pub struct CachedGame<'a, G: BatchGame + ?Sized> {
+pub struct CachedGame<'a, G: CooperativeGame + ?Sized> {
     inner: &'a G,
     state: Mutex<CacheState>,
 }
 
-impl<'a, G: BatchGame + ?Sized> CachedGame<'a, G> {
+impl<'a, G: CooperativeGame + ?Sized> CachedGame<'a, G> {
     /// Wraps a game. Panics above 64 players (the bitmask key width).
     pub fn new(inner: &'a G) -> Self {
         assert!(
@@ -220,7 +199,7 @@ impl<'a, G: BatchGame + ?Sized> CachedGame<'a, G> {
     }
 }
 
-impl<G: BatchGame + ?Sized> CooperativeGame for CachedGame<'_, G> {
+impl<G: CooperativeGame + ?Sized> CooperativeGame for CachedGame<'_, G> {
     fn n_players(&self) -> usize {
         self.inner.n_players()
     }
@@ -228,9 +207,7 @@ impl<G: BatchGame + ?Sized> CooperativeGame for CachedGame<'_, G> {
     fn value(&self, coalition: &[bool]) -> f64 {
         self.values(std::slice::from_ref(&coalition.to_vec()))[0]
     }
-}
 
-impl<G: BatchGame + ?Sized> BatchGame for CachedGame<'_, G> {
     fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
         let masks: Vec<u64> = coalitions.iter().map(|c| Self::mask_of(c)).collect();
         let mut out = vec![0.0; coalitions.len()];
@@ -281,7 +258,7 @@ impl<G: BatchGame + ?Sized> BatchGame for CachedGame<'_, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::{mask_to_coalition, PredictionGame};
+    use crate::game::{mask_to_coalition, PredictionGame, TableGame};
 
     fn toy() -> (Vec<f64>, Matrix) {
         let instance = vec![1.0, 5.0, -2.0];
@@ -348,7 +325,6 @@ mod tests {
                 0.0
             }
         }
-        impl BatchGame for Wide {}
         let result = std::panic::catch_unwind(|| CachedGame::new(&Wide));
         assert!(result.is_err());
     }

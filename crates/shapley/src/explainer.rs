@@ -2,19 +2,18 @@
 //! exact enumeration, permutation sampling, Kernel SHAP and TreeSHAP, all
 //! driven through `xai_core::Explainer::explain` with one `RunConfig`.
 //!
-//! Dispatch contract (enforced by `tests/unified_api.rs`): each
-//! `(workers, batched)` combination selects exactly the legacy twin that
-//! previously served it, so the trait path is bit-identical to the old
-//! free functions at the same seed. A `SampleBudget` is honoured by
-//! permutation sampling and by Kernel SHAP (each on the sequential
-//! scalar path only — budgeted Kernel SHAP at eval cap `k` equals an
-//! unbudgeted run with `max_coalitions = k` bit for bit); deterministic
-//! enumerators (exact Shapley, TreeSHAP) and budget + parallel/batched
-//! combinations report [`XaiError::Unsupported`] rather than silently
-//! ignoring the cap.
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! Dispatch contract (enforced by `tests/unified_api.rs`): the sampled
+//! estimators each have one sequential core and one chunk-grid core.
+//! `RunConfig::batched` picks only the game those cores evaluate
+//! ([`with_game`]), and `workers > 1` alone picks the chunk grid, whose
+//! per-chunk body is the same function `explain_chunks` runs — so direct,
+//! sharded and remote runs of one plan emit the same bits. A
+//! `SampleBudget` is honoured by permutation sampling and by Kernel SHAP
+//! (each on the sequential scalar path only — budgeted Kernel SHAP at eval
+//! cap `k` equals an unbudgeted run with `max_coalitions = k` bit for
+//! bit); deterministic enumerators (exact Shapley, TreeSHAP) and budget +
+//! parallel/batched combinations report [`XaiError::Unsupported`] rather
+//! than silently ignoring the cap.
 
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
@@ -31,18 +30,17 @@ use xai_rand::child_seed;
 use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 
-use crate::batch::{BatchGame, BatchPredictionGame};
+use crate::batch::BatchPredictionGame;
 use crate::exact::{exact_shapley, MAX_EXACT_PLAYERS};
-use crate::game::PredictionGame;
+use crate::game::{CooperativeGame, PredictionGame};
 use crate::masked::{MaskedPredictionGame, MemoGame, MAX_MASKED_PLAYERS};
 use crate::kernel::{
-    self, try_kernel_shap, try_kernel_shap_batched, try_kernel_shap_batched_parallel,
-    try_kernel_shap_budgeted, try_kernel_shap_parallel, KernelShap, KernelShapConfig,
+    self, try_kernel_shap, try_kernel_shap_budgeted, try_kernel_shap_grid, KernelShap,
+    KernelShapConfig,
 };
 use crate::sampling::{
-    self, try_permutation_shapley, try_permutation_shapley_batched,
-    try_permutation_shapley_batched_parallel, try_permutation_shapley_budgeted,
-    try_permutation_shapley_parallel,
+    self, try_permutation_shapley, try_permutation_shapley_budgeted,
+    try_permutation_shapley_grid,
 };
 use crate::tree::{forest_shap, gbdt_shap, tree_expected_value, tree_shap};
 
@@ -78,23 +76,28 @@ fn endpoints(
     Ok((base, pred))
 }
 
-/// Runs `f` over the coalition game a `batched: true` plan selects: the
+/// Runs `f` over the coalition game the plan selects — the only place
+/// `RunConfig::batched` matters to the Shapley estimators. A scalar plan
+/// gets the row-by-row [`PredictionGame`]. A batched plan gets the
 /// zero-copy [`MaskedPredictionGame`] whenever the arity fits the `u64`
 /// coalition bitmask (wrapped in a [`MemoGame`] when the request carries a
 /// shared memo handle), and the materializing [`BatchPredictionGame`]
 /// above [`MAX_MASKED_PLAYERS`] features, where no bitmask exists. All
-/// three games are bit-identical at every seed and worker count, so this
+/// four games are bit-identical at every seed and worker count, so this
 /// choice is pure mechanics — see `crates/shapley/src/batch.rs` docs.
-fn with_batched_game<R>(
+fn with_game<R>(
     model: &dyn ModelOracle,
     instance: &[f64],
     background: &Matrix,
-    memo: Option<xai_core::MemoHandle<'_>>,
-    f: impl FnOnce(&(dyn BatchGame + Sync)) -> R,
+    req: &ExplainRequest<'_>,
+    f: impl FnOnce(&(dyn CooperativeGame + Sync)) -> R,
 ) -> R {
-    if instance.len() <= MAX_MASKED_PLAYERS {
+    if !req.plan.batched {
+        let fs = |x: &[f64]| model.predict(x);
+        f(&PredictionGame::new(&fs, instance, background))
+    } else if instance.len() <= MAX_MASKED_PLAYERS {
         let game = MaskedPredictionGame::new(model, instance, background);
-        match memo {
+        match req.memo {
             Some(h) => {
                 let key = xai_core::GameKey::derive(h.model_fingerprint, background, instance);
                 f(&MemoGame::new(&game, h.memo, key))
@@ -103,8 +106,7 @@ fn with_batched_game<R>(
         }
     } else {
         let fb = |m: &Matrix| model.predict_batch(m);
-        let game = BatchPredictionGame::new(&fb, instance, background);
-        f(&game)
+        f(&BatchPredictionGame::new(&fb, instance, background))
     }
 }
 
@@ -169,7 +171,7 @@ impl Explainer for ExactShapleyMethod {
 
 /// Permutation-sampling Monte-Carlo Shapley (§2.1.2) through the unified
 /// layer; the one Shapley estimator that honours `RunConfig::budget`
-/// (sequential scalar path only, matching the legacy budgeted twin).
+/// (sequential scalar path only, through the budgeted prefix run).
 #[derive(Clone, Copy, Debug)]
 pub struct PermutationShapleyMethod {
     /// Permutation walks to draw.
@@ -192,7 +194,6 @@ impl Explainer for PermutationShapleyMethod {
         let background = req.background_or_data();
         validate::background("permutation Shapley", instance, background)?;
         let plan = req.plan;
-        let f = |x: &[f64]| model.predict(x);
         let sampled = if plan.budgeted() {
             if plan.parallel() || plan.batched {
                 return Err(XaiError::Unsupported {
@@ -201,35 +202,17 @@ impl Explainer for PermutationShapleyMethod {
                         .into(),
                 });
             }
+            let f = |x: &[f64]| model.predict(x);
             let game = PredictionGame::new(&f, instance, background);
             try_permutation_shapley_budgeted(&game, self.permutations, plan.seed, plan.budget)?
         } else {
-            match (plan.parallel(), plan.batched) {
-                (false, false) => {
-                    let game = PredictionGame::new(&f, instance, background);
-                    try_permutation_shapley(&game, self.permutations, plan.seed)?
+            with_game(model, instance, background, req, |game| {
+                if plan.parallel() {
+                    try_permutation_shapley_grid(game, self.permutations, plan.seed, plan.workers)
+                } else {
+                    try_permutation_shapley(game, self.permutations, plan.seed)
                 }
-                (false, true) => with_batched_game(model, instance, background, req.memo, |game| {
-                    try_permutation_shapley_batched(game, self.permutations, plan.seed)
-                })?,
-                (true, false) => {
-                    let game = PredictionGame::new(&f, instance, background);
-                    try_permutation_shapley_parallel(
-                        &game,
-                        self.permutations,
-                        plan.seed,
-                        plan.workers,
-                    )?
-                }
-                (true, true) => with_batched_game(model, instance, background, req.memo, |game| {
-                    try_permutation_shapley_batched_parallel(
-                        game,
-                        self.permutations,
-                        plan.seed,
-                        plan.workers,
-                    )
-                })?,
-            }
+            })?
         };
         let (base, pred) = endpoints(model, instance, background)?;
         Ok(Explanation::Attribution(FeatureAttribution::new(
@@ -279,19 +262,19 @@ impl ShardableExplainer for PermutationShapleyMethod {
         let background = req.background_or_data();
         validate::background("permutation Shapley", instance, background)?;
         let grid = self.draw_grid(req)?;
-        let f = |x: &[f64]| model.predict(x);
-        let game = PredictionGame::new(&f, instance, background);
-        let n = instance.len();
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
-            let (sum, sum_sq) =
-                sampling::scalar_chunk_sums(&game, n, grid.chunk_range(c).len(), &mut rng);
-            out.push(Json::obj(vec![
-                ("sum", shard_nums("permutation Shapley chunk sums", &sum)?),
-                ("sum_sq", shard_nums("permutation Shapley chunk sums", &sum_sq)?),
-            ]));
-        }
+        let out = with_game(model, instance, background, req, |game| {
+            chunks
+                .map(|c| {
+                    let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
+                    let (sum, sum_sq) =
+                        sampling::chunk_sums(game, grid.chunk_range(c).len(), &mut rng);
+                    Ok(Json::obj(vec![
+                        ("sum", shard_nums("permutation Shapley chunk sums", &sum)?),
+                        ("sum_sq", shard_nums("permutation Shapley chunk sums", &sum_sq)?),
+                    ]))
+                })
+                .collect::<XaiResult<Vec<Json>>>()
+        })?;
         Ok(chunks_json(out))
     }
 
@@ -356,7 +339,6 @@ impl KernelShapMethod {
     ) -> XaiResult<KernelShap> {
         let plan = &req.plan;
         let config = KernelShapConfig { seed: plan.seed, ..self.config };
-        let f = |x: &[f64]| model.predict(x);
         if plan.budgeted() {
             if plan.parallel() || plan.batched {
                 return Err(XaiError::Unsupported {
@@ -365,25 +347,17 @@ impl KernelShapMethod {
                         .into(),
                 });
             }
+            let f = |x: &[f64]| model.predict(x);
             let game = PredictionGame::new(&f, instance, background);
             return try_kernel_shap_budgeted(&game, config, plan.budget);
         }
-        match (plan.parallel(), plan.batched) {
-            (false, false) => {
-                let game = PredictionGame::new(&f, instance, background);
-                try_kernel_shap(&game, config)
+        with_game(model, instance, background, req, |game| {
+            if plan.parallel() {
+                try_kernel_shap_grid(game, config, plan.workers)
+            } else {
+                try_kernel_shap(game, config)
             }
-            (false, true) => with_batched_game(model, instance, background, req.memo, |game| {
-                try_kernel_shap_batched(game, config)
-            }),
-            (true, false) => {
-                let game = PredictionGame::new(&f, instance, background);
-                try_kernel_shap_parallel(&game, config, plan.workers)
-            }
-            (true, true) => with_batched_game(model, instance, background, req.memo, |game| {
-                try_kernel_shap_batched_parallel(game, config, plan.workers)
-            }),
-        }
+        })
     }
 }
 
@@ -504,34 +478,32 @@ impl ShardableExplainer for KernelShapMethod {
         let n = instance.len();
         let exact = kernel::exact_mode(n, self.config.max_coalitions);
         let size_weights = kernel::size_distribution(n);
-        let f = |x: &[f64]| model.predict(x);
-        let game = PredictionGame::new(&f, instance, background);
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let range = grid.chunk_range(c);
-            let triples = if exact {
-                kernel::exact_chunk_triples(&game, n, range)
-            } else {
-                let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
-                kernel::sampled_chunk_triples(&game, n, &size_weights, range.len(), &mut rng)
-            };
-            let mut chunk = Vec::with_capacity(triples.len());
-            for (mask, w, v) in triples {
-                if !v.is_finite() {
-                    return Err(XaiError::ModelFault {
-                        context: format!("coalition evaluation returned {v}"),
-                    });
-                }
-                chunk.push(Json::Arr(vec![
-                    Json::Arr(
-                        mask.iter().map(|&b| Json::Num(if b { 1.0 } else { 0.0 })).collect(),
-                    ),
-                    Json::Num(w),
-                    Json::Num(v),
-                ]));
-            }
-            out.push(Json::Arr(chunk));
-        }
+        let out = with_game(model, instance, background, req, |game| {
+            chunks
+                .map(|c| {
+                    let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
+                    let range = grid.chunk_range(c);
+                    let triples =
+                        kernel::chunk_triples(game, exact, &size_weights, range, &mut rng);
+                    let mut chunk = Vec::with_capacity(triples.len());
+                    for (mask, w, v) in triples {
+                        if !v.is_finite() {
+                            return Err(XaiError::ModelFault {
+                                context: format!("coalition evaluation returned {v}"),
+                            });
+                        }
+                        chunk.push(Json::Arr(vec![
+                            Json::Arr(
+                                mask.iter().map(|&b| Json::Num(if b { 1.0 } else { 0.0 })).collect(),
+                            ),
+                            Json::Num(w),
+                            Json::Num(v),
+                        ]));
+                    }
+                    Ok(Json::Arr(chunk))
+                })
+                .collect::<XaiResult<Vec<Json>>>()
+        })?;
         Ok(chunks_json(out))
     }
 
@@ -572,7 +544,7 @@ impl ShardableExplainer for KernelShapMethod {
             }
             let exact = kernel::exact_mode(n, self.config.max_coalitions)
                 && req.plan.budget.max_evals.is_none();
-            kernel::finish_parallel(n, &ends, vec![triples], self.config.ridge, exact)?
+            kernel::finish_grid(n, &ends, vec![triples], self.config.ridge, exact)?
         };
         if ks.degraded && req.plan.degradation == DegradationPolicy::Strict {
             return Err(XaiError::SingularSystem {

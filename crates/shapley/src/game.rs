@@ -22,6 +22,17 @@ pub trait CooperativeGame {
     /// [`CooperativeGame::n_players`].
     fn value(&self, coalition: &[bool]) -> f64;
 
+    /// Values of all `coalitions`, in order. Must equal
+    /// `coalitions.iter().map(|c| self.value(c))` bit-for-bit. The default
+    /// is that scalar loop; games backed by batched model inference
+    /// ([`crate::BatchPredictionGame`], [`crate::MaskedPredictionGame`])
+    /// and the memo wrappers override it to amortize the per-call cost.
+    /// The estimators evaluate through this method only, so every game
+    /// runs on the same estimator core.
+    fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
+        coalitions.iter().map(|c| self.value(c)).collect()
+    }
+
     /// Value of the empty coalition (the baseline).
     fn empty_value(&self) -> f64 {
         self.value(&vec![false; self.n_players()])
@@ -39,9 +50,9 @@ pub trait CooperativeGame {
 /// values (the marginal expectation).
 /// Generic over the model's function type (defaulting to a plain trait
 /// object) so that `Sync`-ness propagates: built from a `Sync` closure the
-/// game is itself `Sync` and can feed the parallel estimators
-/// ([`crate::permutation_shapley_parallel`],
-/// [`crate::kernel_shap_parallel`]).
+/// game is itself `Sync` and can feed the chunk-grid estimators
+/// ([`crate::try_permutation_shapley_grid`],
+/// [`crate::try_kernel_shap_grid`]).
 pub struct PredictionGame<'a, F: ?Sized = dyn Fn(&[f64]) -> f64 + 'a> {
     model: &'a F,
     instance: &'a [f64],

@@ -8,15 +8,17 @@
 //! endpoints). The constraint is eliminated by substitution, leaving an
 //! ordinary weighted least-squares problem.
 //!
-//! Four entry points share one draw/solve core: sequential and parallel,
-//! each in a scalar ([`CooperativeGame`]) and a batched
-//! ([`crate::batch::BatchGame`]) flavour. Coalitions are always drawn
-//! *before* any evaluation and evaluation consumes no randomness, so at
-//! the same seed the batched paths produce bit-identical output to their
-//! scalar counterparts (given a bit-exact batched model, which the
-//! `xai-models` kernels guarantee).
+//! The estimator has one sequential core ([`try_kernel_shap`]) and one
+//! chunk-grid core ([`try_kernel_shap_grid`]), plus the budgeted prefix
+//! run. Both cores draw a round of coalitions *before* evaluating it and
+//! evaluate through [`CooperativeGame::values`], so the game alone decides
+//! how coalitions are computed: a scalar [`crate::PredictionGame`] loops
+//! over rows, a [`crate::BatchPredictionGame`] or
+//! [`crate::MaskedPredictionGame`] batches the round. Evaluation consumes
+//! no randomness, so at the same seed every game yields bit-identical
+//! output (given a bit-exact batched model, which the `xai-models`
+//! kernels guarantee).
 
-use crate::batch::BatchGame;
 use crate::game::{mask_to_coalition, CooperativeGame};
 use xai_core::{SampleBudget, XaiError, XaiResult};
 use xai_rand::rngs::StdRng;
@@ -234,6 +236,11 @@ pub fn kernel_shap(game: &dyn CooperativeGame, config: KernelShapConfig) -> Kern
 /// during evaluation) and unrecoverably singular regressions come back as
 /// [`XaiError`]; a regression that needed ridge escalation comes back
 /// `Ok` with `degraded = true`.
+///
+/// The whole coalition grid (full enumeration in exact mode, one
+/// `seed_from_u64(config.seed)` stream otherwise) is drawn first and then
+/// evaluated in a single [`CooperativeGame::values`] call — one model
+/// round for a batched game, the row loop for a scalar one.
 pub fn try_kernel_shap(game: &dyn CooperativeGame, config: KernelShapConfig) -> XaiResult<KernelShap> {
     let (ends, short) = endpoints(game)?;
     if let Some(s) = short {
@@ -241,10 +248,8 @@ pub fn try_kernel_shap(game: &dyn CooperativeGame, config: KernelShapConfig) -> 
     }
     let n = game.n_players();
     let (masks, weights, exact) = sequential_coalitions(n, config);
-    let values: Vec<f64> =
-        xai_core::catch_model("kernel SHAP coalition evaluation", || {
-            masks.iter().map(|c| game.value(c)).collect()
-        })?;
+    let values =
+        xai_core::catch_model("kernel SHAP coalition evaluation", || game.values(&masks))?;
     let (phi, degraded) = solve_kernel_regression(n, &ends, &masks, &weights, &values, config.ridge)?;
     Ok(KernelShap { phi, base_value: ends.v0, coalitions_used: masks.len(), exact, degraded })
 }
@@ -267,9 +272,9 @@ pub fn try_kernel_shap(game: &dyn CooperativeGame, config: KernelShapConfig) -> 
 /// - a budget that expires before the *first* coalition evaluation is
 ///   [`XaiError::BudgetExceeded`] — there is nothing to estimate from.
 ///
-/// Only the sequential scalar path is budgeted; the unified layer
-/// rejects budget + parallel/batched plans as
-/// [`XaiError::Unsupported`].
+/// Each coalition is evaluated on its own ([`CooperativeGame::value`]) so
+/// the meter can stop between any two; the unified layer rejects
+/// budget + parallel/batched plans as [`XaiError::Unsupported`].
 pub fn try_kernel_shap_budgeted(
     game: &dyn CooperativeGame,
     config: KernelShapConfig,
@@ -324,112 +329,55 @@ pub fn try_kernel_shap_budgeted(
     })
 }
 
-/// Kernel SHAP with every coalition of a sampling round materialized into
-/// **one batched game call** — the fast path for
-/// [`crate::batch::BatchPredictionGame`] over a vectorized model, and the
-/// natural host for a [`crate::batch::CachedGame`] memo.
-///
-/// Coalition draws are identical to [`kernel_shap`] (randomness is drawn
-/// up front; evaluation consumes none), so at the same seed the result is
-/// bit-identical to the scalar path.
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn kernel_shap_batched(game: &dyn BatchGame, config: KernelShapConfig) -> KernelShap {
-    try_kernel_shap_batched(game, config)
-        .expect("kernel SHAP failed; try_kernel_shap_batched recovers this")
-}
-
-/// Fallible twin of [`kernel_shap_batched`]; see [`try_kernel_shap`].
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_kernel_shap_batched(
-    game: &dyn BatchGame,
-    config: KernelShapConfig,
-) -> XaiResult<KernelShap> {
-    let (ends, short) = endpoints(game)?;
-    if let Some(s) = short {
-        return Ok(s);
-    }
-    let n = game.n_players();
-    let (masks, weights, exact) = sequential_coalitions(n, config);
-    let values =
-        xai_core::catch_model("kernel SHAP batched evaluation", || game.values(&masks))?;
-    let (phi, degraded) = solve_kernel_regression(n, &ends, &masks, &weights, &values, config.ridge)?;
-    Ok(KernelShap { phi, base_value: ends.v0, coalitions_used: masks.len(), exact, degraded })
-}
-
-/// Coalition evaluations per executor task in [`kernel_shap_parallel`]
-/// — also the chunk size of the shard-plan draw grid (DESIGN.md §11).
+/// Coalition evaluations per chunk of [`try_kernel_shap_grid`] — also the
+/// chunk size of the shard-plan draw grid (DESIGN.md §11).
 pub(crate) const COALITIONS_PER_CHUNK: usize = 64;
 
-/// One exact-mode chunk: enumerates the proper coalitions whose global
-/// draw indices fall in `range` and evaluates them. Shared verbatim by
-/// the parallel path and the shard executor so both produce the same
-/// triples for the same chunk.
-pub(crate) fn exact_chunk_triples(
+/// One chunk of the coalition grid: enumerates (exact mode) the proper
+/// coalitions whose global draw indices fall in `range`, or draws (sampled
+/// mode) `range.len()` coalitions from the chunk's `rng` stream, then
+/// evaluates them in one [`CooperativeGame::values`] call. The single
+/// chunk body of [`try_kernel_shap_grid`] and of the shard executor, so
+/// both produce the same `(coalition, weight, value)` triples for the same
+/// chunk.
+pub(crate) fn chunk_triples(
     game: &dyn CooperativeGame,
-    n: usize,
-    range: std::ops::Range<usize>,
-) -> Vec<(Vec<bool>, f64, f64)> {
-    range
-        .map(|i| {
-            let mask = i + 1; // skip the empty coalition
-            let coalition = mask_to_coalition(mask, n);
-            let w = shapley_kernel_weight(n, mask.count_ones() as usize);
-            let v = game.value(&coalition);
-            (coalition, w, v)
-        })
-        .collect()
-}
-
-/// One sampled-mode chunk: draws `count` coalitions from the chunk's RNG
-/// stream and evaluates them. Shared verbatim by the parallel path and
-/// the shard executor.
-pub(crate) fn sampled_chunk_triples(
-    game: &dyn CooperativeGame,
-    n: usize,
+    exact: bool,
     size_weights: &[f64],
-    count: usize,
+    range: std::ops::Range<usize>,
     rng: &mut StdRng,
 ) -> Vec<(Vec<bool>, f64, f64)> {
-    (0..count)
-        .map(|_| {
-            let coalition = draw_coalition(rng, n, size_weights);
-            let v = game.value(&coalition);
-            (coalition, 1.0, v)
-        })
-        .collect()
+    let n = game.n_players();
+    let (masks, weights): (Vec<Vec<bool>>, Vec<f64>) = if exact {
+        range
+            .map(|i| {
+                let mask = i + 1; // skip the empty coalition
+                (mask_to_coalition(mask, n), shapley_kernel_weight(n, mask.count_ones() as usize))
+            })
+            .unzip()
+    } else {
+        range.map(|_| (draw_coalition(rng, n, size_weights), 1.0)).unzip()
+    };
+    let values = game.values(&masks);
+    masks.into_iter().zip(weights).zip(values).map(|((c, w), v)| (c, w, v)).collect()
 }
 
-/// Kernel SHAP with coalition sampling and evaluation spread across
-/// `workers` threads on the `xai_rand` executor.
+/// Kernel SHAP over the fixed chunk grid, spread across `workers` threads
+/// on the `xai_rand` executor.
 ///
 /// In sampling mode each fixed-size chunk draws its coalitions from the
-/// stream `child_seed(config.seed, chunk)` and evaluates them; in exact
-/// mode the enumeration grid is evaluated in parallel. Triples are
+/// stream `child_seed(config.seed, chunk)`; in exact mode the enumeration
+/// grid is tiled. Every chunk runs [`chunk_triples`], and triples are
 /// concatenated in chunk order before the (sequential) weighted
 /// least-squares solve, so the result is bit-identical across worker
-/// counts. The sampled-mode draw differs from the sequential
-/// [`kernel_shap`] (one stream vs. one stream per chunk); both are
-/// unbiased.
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn kernel_shap_parallel(
-    game: &(dyn CooperativeGame + Sync),
-    config: KernelShapConfig,
-    workers: usize,
-) -> KernelShap {
-    try_kernel_shap_parallel(game, config, workers)
-        .expect("kernel SHAP failed; try_kernel_shap_parallel recovers this")
-}
-
-/// Fallible twin of [`kernel_shap_parallel`]: a panic inside a worker
-/// chunk surfaces as [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); other failures as in
-/// [`try_kernel_shap`].
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_kernel_shap_parallel(
+/// counts and across any shard partition of the grid. The sampled-mode
+/// draw differs from the sequential [`try_kernel_shap`] (one stream vs.
+/// one stream per chunk); both are unbiased.
+///
+/// A panic inside a chunk surfaces as [`XaiError::WorkerPanic`] naming the
+/// lowest-indexed panicking chunk (worker-count invariant); other failures
+/// as in [`try_kernel_shap`].
+pub fn try_kernel_shap_grid(
     game: &(dyn CooperativeGame + Sync),
     config: KernelShapConfig,
     workers: usize,
@@ -442,92 +390,20 @@ pub fn try_kernel_shap_parallel(
     }
     let n = game.n_players();
     let exact = exact_mode(n, config.max_coalitions);
-    // Each chunk returns (mask, weight, value) triples, concatenated in
-    // chunk order below.
-    let chunks: Vec<Vec<(Vec<bool>, f64, f64)>> = if exact {
-        let total_proper = (1usize << n) - 2;
-        try_par_map_chunks(total_proper, COALITIONS_PER_CHUNK, config.seed, workers, |_c, range, _rng| {
-            exact_chunk_triples(game, n, range)
+    let total = if exact { (1usize << n) - 2 } else { config.max_coalitions };
+    let size_weights = size_distribution(n);
+    let chunks =
+        try_par_map_chunks(total, COALITIONS_PER_CHUNK, config.seed, workers, |_c, range, rng| {
+            chunk_triples(game, exact, &size_weights, range, rng)
         })
-    } else {
-        let size_weights = size_distribution(n);
-        let size_weights = &size_weights;
-        try_par_map_chunks(config.max_coalitions, COALITIONS_PER_CHUNK, config.seed, workers, |_c, range, rng| {
-            sampled_chunk_triples(game, n, size_weights, range.len(), rng)
-        })
-    }
-    .map_err(XaiError::from)?;
-    finish_parallel(n, &ends, chunks, config.ridge, exact)
-}
-
-/// Parallel Kernel SHAP where **each worker batches its chunk**: a chunk
-/// draws (or enumerates) its 64 coalitions, then makes a single
-/// [`BatchGame::values`] call for all of them. Same chunk grid, same
-/// per-chunk RNG streams and same chunk-order reduction as
-/// [`kernel_shap_parallel`] — output is bit-identical to it at every
-/// worker count.
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn kernel_shap_batched_parallel(
-    game: &(dyn BatchGame + Sync),
-    config: KernelShapConfig,
-    workers: usize,
-) -> KernelShap {
-    try_kernel_shap_batched_parallel(game, config, workers)
-        .expect("kernel SHAP failed; try_kernel_shap_batched_parallel recovers this")
-}
-
-/// Fallible twin of [`kernel_shap_batched_parallel`]; failure semantics as
-/// in [`try_kernel_shap_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use KernelShapMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_kernel_shap_batched_parallel(
-    game: &(dyn BatchGame + Sync),
-    config: KernelShapConfig,
-    workers: usize,
-) -> XaiResult<KernelShap> {
-    use xai_rand::parallel::try_par_map_chunks;
-    assert!(workers >= 1, "need at least one worker");
-    let (ends, short) = endpoints(game)?;
-    if let Some(s) = short {
-        return Ok(s);
-    }
-    let n = game.n_players();
-    let exact = exact_mode(n, config.max_coalitions);
-    let chunks: Vec<Vec<(Vec<bool>, f64, f64)>> = if exact {
-        let total_proper = (1usize << n) - 2;
-        try_par_map_chunks(total_proper, COALITIONS_PER_CHUNK, config.seed, workers, |_c, range, _rng| {
-            let masks: Vec<Vec<bool>> =
-                range.clone().map(|i| mask_to_coalition(i + 1, n)).collect();
-            let values = game.values(&masks);
-            masks
-                .into_iter()
-                .zip(range)
-                .zip(values)
-                .map(|((coalition, i), v)| {
-                    let w = shapley_kernel_weight(n, (i + 1).count_ones() as usize);
-                    (coalition, w, v)
-                })
-                .collect()
-        })
-    } else {
-        let size_weights = size_distribution(n);
-        let size_weights = &size_weights;
-        try_par_map_chunks(config.max_coalitions, COALITIONS_PER_CHUNK, config.seed, workers, |_c, range, rng| {
-            let masks: Vec<Vec<bool>> =
-                range.map(|_| draw_coalition(rng, n, size_weights)).collect();
-            let values = game.values(&masks);
-            masks.into_iter().zip(values).map(|(coalition, v)| (coalition, 1.0, v)).collect()
-        })
-    }
-    .map_err(XaiError::from)?;
-    finish_parallel(n, &ends, chunks, config.ridge, exact)
+        .map_err(XaiError::from)?;
+    finish_grid(n, &ends, chunks, config.ridge, exact)
 }
 
 /// Concatenates chunk triples in order and solves. Also the shard-merge
 /// epilogue: any partition of the chunk grid that concatenates to the
-/// same triple sequence reproduces the parallel result bit-for-bit.
-pub(crate) fn finish_parallel(
+/// same triple sequence reproduces the grid result bit-for-bit.
+pub(crate) fn finish_grid(
     n: usize,
     ends: &Endpoints,
     chunks: Vec<Vec<(Vec<bool>, f64, f64)>>,
@@ -563,7 +439,6 @@ fn binomial(n: usize, k: usize) -> f64 {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::batch::{BatchPredictionGame, CachedGame};
@@ -577,15 +452,15 @@ mod tests {
             (0..16).map(|m: usize| (m.count_ones() as f64).sqrt() + f64::from(m & 1 != 0)).collect(),
         );
         let seq = kernel_shap(&game, KernelShapConfig::default());
-        let one = kernel_shap_parallel(&game, KernelShapConfig::default(), 1);
+        let one = try_kernel_shap_grid(&game, KernelShapConfig::default(), 1).unwrap();
         assert!(one.exact);
-        // Exact mode enumerates the same grid, so sequential and parallel
+        // Exact mode enumerates the same coalitions, so sequential and grid
         // agree to solver precision; worker counts agree bit-exactly.
         for (a, b) in one.phi.iter().zip(&seq.phi) {
             assert!((a - b).abs() < 1e-9, "{a} vs {b}");
         }
         for workers in [2, 4] {
-            let w = kernel_shap_parallel(&game, KernelShapConfig::default(), workers);
+            let w = try_kernel_shap_grid(&game, KernelShapConfig::default(), workers).unwrap();
             assert_eq!(one.phi, w.phi, "workers={workers} diverged");
         }
     }
@@ -602,10 +477,10 @@ mod tests {
             }
         }
         let cfg = KernelShapConfig { max_coalitions: 600, ..Default::default() };
-        let one = kernel_shap_parallel(&Additive, cfg, 1);
+        let one = try_kernel_shap_grid(&Additive, cfg, 1).unwrap();
         assert!(!one.exact);
         for workers in [2, 4] {
-            let w = kernel_shap_parallel(&Additive, cfg, workers);
+            let w = try_kernel_shap_grid(&Additive, cfg, workers).unwrap();
             assert_eq!(one.phi, w.phi, "workers={workers} diverged");
         }
         // Additive game: φ_i = i + 1 exactly.
@@ -716,8 +591,8 @@ mod tests {
         let ks = kernel_shap(&game, KernelShapConfig::default());
         assert_eq!(ks.phi, vec![1.5]);
         assert_eq!(ks.base_value, 0.5);
-        let kb = kernel_shap_batched(&game, KernelShapConfig::default());
-        assert_eq!(kb.phi, vec![1.5]);
+        let grid = try_kernel_shap_grid(&game, KernelShapConfig::default(), 2).unwrap();
+        assert_eq!(grid.phi, vec![1.5]);
     }
 
     #[test]
@@ -753,15 +628,7 @@ mod tests {
 
     #[test]
     fn batched_matches_scalar_bitwise_in_both_modes() {
-        // Exact mode (table game through the default batch loop).
-        let table = TableGame::new(
-            4,
-            (0..16).map(|m: usize| (m.count_ones() as f64).powi(2) * 0.31 - 0.4).collect(),
-        );
-        let cfg = KernelShapConfig::default();
-        assert_eq!(kernel_shap(&table, cfg).phi, kernel_shap_batched(&table, cfg).phi);
-
-        // Sampling mode over a prediction game: scalar vs. materialized.
+        // The scalar row loop vs. the materialized round.
         let model = |x: &[f64]| (x[0] - 0.3 * x[1]).tanh() + 0.25 * x[2] * x[2];
         let batched_model = |m: &Matrix| -> Vec<f64> { m.iter_rows().map(model).collect() };
         let background = Matrix::from_rows(&[
@@ -772,9 +639,15 @@ mod tests {
         let instance = [0.9, -1.4, 2.2];
         let scalar_game = PredictionGame::new(&model, &instance, &background);
         let batch_game = BatchPredictionGame::new(&batched_model, &instance, &background);
+        // Exact mode (3 players: 6 proper coalitions).
+        let exact = KernelShapConfig::default();
+        let a = kernel_shap(&scalar_game, exact);
+        assert!(a.exact);
+        assert_eq!(a.phi, kernel_shap(&batch_game, exact).phi);
+        // Sampling mode.
         let cfg = KernelShapConfig { max_coalitions: 5, seed: 9, ..Default::default() };
         let a = kernel_shap(&scalar_game, cfg);
-        let b = kernel_shap_batched(&batch_game, cfg);
+        let b = kernel_shap(&batch_game, cfg);
         assert!(!a.exact);
         assert_eq!(a.phi, b.phi);
         assert_eq!(a.base_value, b.base_value);
@@ -782,10 +655,10 @@ mod tests {
         // ... and through the memo cache, which must not perturb bits. A
         // second identical run replays the same draws entirely from cache.
         let cached = CachedGame::new(&batch_game);
-        let c = kernel_shap_batched(&cached, cfg);
+        let c = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c.phi);
         let (_, misses_first) = cached.stats();
-        let c2 = kernel_shap_batched(&cached, cfg);
+        let c2 = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c2.phi);
         let (hits, misses) = cached.stats();
         assert_eq!(misses, misses_first, "second run must be served from cache");
@@ -802,9 +675,9 @@ mod tests {
         let scalar_game = PredictionGame::new(&model, &instance, &background);
         let batch_game = BatchPredictionGame::new(&batched_model, &instance, &background);
         let cfg = KernelShapConfig { max_coalitions: 5, seed: 4, ..Default::default() };
-        let reference = kernel_shap_parallel(&scalar_game, cfg, 1);
+        let reference = try_kernel_shap_grid(&scalar_game, cfg, 1).unwrap();
         for workers in [1, 2, 4] {
-            let b = kernel_shap_batched_parallel(&batch_game, cfg, workers);
+            let b = try_kernel_shap_grid(&batch_game, cfg, workers).unwrap();
             assert_eq!(reference.phi, b.phi, "workers={workers}");
         }
     }

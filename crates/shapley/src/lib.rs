@@ -18,12 +18,14 @@
 //! | [`batch`] | batched coalition evaluation + memo cache | — |
 //! | [`masked`] | zero-copy masked evaluation + cross-request memo | — |
 //!
-//! The Monte-Carlo estimators each have a `*_batched` twin that accepts a
-//! [`batch::BatchGame`] and materializes whole sampling rounds into single
-//! model calls; at the same seed the twins are bit-identical. For models
-//! with a [`xai_core::ModelOracle`] surface and ≤ 64 features, the batched
-//! path routes through [`masked::MaskedPredictionGame`], which evaluates
-//! coalitions zero-copy — still bit-identical at every seed.
+//! The Monte-Carlo estimators each have one sequential core and one
+//! chunk-grid core, and both evaluate coalitions a whole sampling round at
+//! a time through [`game::CooperativeGame::values`]. The game decides how:
+//! the scalar [`game::PredictionGame`] loops over rows,
+//! [`batch::BatchPredictionGame`] materializes the round into one model
+//! call, and [`masked::MaskedPredictionGame`] evaluates it zero-copy for
+//! models with a [`xai_core::ModelOracle`] surface and ≤ 64 features — all
+//! bit-identical at every seed.
 pub mod asymmetric;
 pub mod batch;
 pub mod causal;
@@ -42,7 +44,7 @@ pub mod sampling;
 pub mod tree;
 
 pub use asymmetric::{asymmetric_shapley_exact, asymmetric_shapley_sampled, Precedence};
-pub use batch::{BatchGame, BatchPredictionGame, CachedGame};
+pub use batch::{BatchPredictionGame, CachedGame};
 pub use conditional::{conditional_shapley, ConditionalGame};
 pub use causal::{causal_shapley, effect_decomposition, CausalGame, EffectDecomposition};
 pub use exact::{exact_banzhaf, exact_shapley, shapley_from_table, MAX_EXACT_PLAYERS};
@@ -59,21 +61,15 @@ pub use global::{
     GlobalImportance,
 };
 pub use owen::{one_hot_groups, owen_values, OwenValues};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
 pub use kernel::{
-    kernel_shap, kernel_shap_batched, kernel_shap_batched_parallel, kernel_shap_parallel,
-    shapley_kernel_weight, try_kernel_shap, try_kernel_shap_batched,
-    try_kernel_shap_batched_parallel, try_kernel_shap_budgeted, try_kernel_shap_parallel,
-    KernelShap, KernelShapConfig,
+    kernel_shap, shapley_kernel_weight, try_kernel_shap, try_kernel_shap_budgeted,
+    try_kernel_shap_grid, KernelShap, KernelShapConfig,
 };
 pub use qii::{set_qii, shapley_qii, unary_qii};
-#[allow(deprecated)] // re-export keeps the legacy twins reachable during migration
 pub use sampling::{
-    antithetic_permutation_shapley, permutation_shapley, permutation_shapley_batched,
-    permutation_shapley_batched_parallel, permutation_shapley_parallel,
-    try_antithetic_permutation_shapley, try_permutation_shapley, try_permutation_shapley_batched,
-    try_permutation_shapley_batched_parallel, try_permutation_shapley_budgeted,
-    try_permutation_shapley_parallel, SampledShapley,
+    antithetic_permutation_shapley, permutation_shapley, try_antithetic_permutation_shapley,
+    try_permutation_shapley, try_permutation_shapley_budgeted, try_permutation_shapley_grid,
+    SampledShapley,
 };
 pub use tree::{
     brute_force_tree_shap, forest_shap, gbdt_shap, tree_expected_value, tree_shap,

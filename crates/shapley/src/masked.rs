@@ -13,7 +13,7 @@
 //!   tree ensembles, and an arena-backed gather fallback for everything
 //!   else. Predictions land in arena scratch, so steady-state rounds make
 //!   zero heap allocations.
-//! - [`MemoGame`] wraps any [`BatchGame`] with the shared cross-request
+//! - [`MemoGame`] wraps any [`CooperativeGame`] with the shared cross-request
 //!   [`CoalitionMemo`]: coalition values are looked up under
 //!   `(GameKey, mask)` before touching the oracle and published after, so
 //!   repeated serve traffic against the same (model, background, instance)
@@ -27,7 +27,6 @@
 //! is a pure function of its key — `tests/masked_equivalence.rs` pins all
 //! of it per model family and mask pattern.
 
-use crate::batch::BatchGame;
 use crate::game::CooperativeGame;
 use std::collections::HashMap;
 use xai_core::memo::{CoalitionMemo, GameKey};
@@ -95,9 +94,7 @@ impl CooperativeGame for MaskedPredictionGame<'_> {
     fn value(&self, coalition: &[bool]) -> f64 {
         self.values(std::slice::from_ref(&coalition.to_vec()))[0]
     }
-}
 
-impl BatchGame for MaskedPredictionGame<'_> {
     fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
         let b = self.background.rows();
         let d = self.instance.len();
@@ -133,7 +130,7 @@ impl BatchGame for MaskedPredictionGame<'_> {
     }
 }
 
-/// A [`BatchGame`] wrapper over the shared cross-request [`CoalitionMemo`]
+/// A [`CooperativeGame`] wrapper over the shared cross-request [`CoalitionMemo`]
 /// — the cross-request generalization of [`crate::CachedGame`]. Lookups
 /// and inserts are keyed under this game's [`GameKey`], so any request
 /// against the same (model, background, instance) triple shares values,
@@ -145,13 +142,13 @@ impl BatchGame for MaskedPredictionGame<'_> {
 /// round, then published. Racing workers may evaluate the same mask twice;
 /// both compute the identical deterministic value, so the duplicate insert
 /// is harmless and output never changes.
-pub struct MemoGame<'a, G: BatchGame + ?Sized> {
+pub struct MemoGame<'a, G: CooperativeGame + ?Sized> {
     inner: &'a G,
     memo: &'a CoalitionMemo,
     key: GameKey,
 }
 
-impl<'a, G: BatchGame + ?Sized> MemoGame<'a, G> {
+impl<'a, G: CooperativeGame + ?Sized> MemoGame<'a, G> {
     /// Wraps `inner`, memoizing under `key` in `memo`.
     ///
     /// # Panics
@@ -165,7 +162,7 @@ impl<'a, G: BatchGame + ?Sized> MemoGame<'a, G> {
     }
 }
 
-impl<G: BatchGame + ?Sized> CooperativeGame for MemoGame<'_, G> {
+impl<G: CooperativeGame + ?Sized> CooperativeGame for MemoGame<'_, G> {
     fn n_players(&self) -> usize {
         self.inner.n_players()
     }
@@ -173,9 +170,7 @@ impl<G: BatchGame + ?Sized> CooperativeGame for MemoGame<'_, G> {
     fn value(&self, coalition: &[bool]) -> f64 {
         self.values(std::slice::from_ref(&coalition.to_vec()))[0]
     }
-}
 
-impl<G: BatchGame + ?Sized> BatchGame for MemoGame<'_, G> {
     fn values(&self, coalitions: &[Vec<bool>]) -> Vec<f64> {
         let masks: Vec<u64> = coalitions.iter().map(|c| coalition_mask(c)).collect();
         let mut found: Vec<Option<f64>> = vec![None; masks.len()];
@@ -297,7 +292,6 @@ mod tests {
                 0.0
             }
         }
-        impl BatchGame for Wide {}
         let memo = CoalitionMemo::new(16);
         let key = GameKey { model: 0, background: 0, instance: 0 };
         assert!(std::panic::catch_unwind(|| MemoGame::new(&Wide, &memo, key)).is_err());

@@ -6,8 +6,15 @@
 //! contribution when it joins. Cost per permutation is `n + 1` game
 //! evaluations; the estimate converges at the Monte-Carlo `1/√m` rate —
 //! experiment E2's subject.
+//!
+//! The estimator has one sequential core ([`try_permutation_shapley`]) and
+//! one chunk-grid core ([`try_permutation_shapley_grid`]), plus the
+//! budgeted prefix run. Both cores draw a round of permutations up front
+//! and evaluate all of its walk coalitions through one
+//! [`CooperativeGame::values`] call, so the game alone decides whether a
+//! round is a scalar row loop or one batched model call; the bits are the
+//! same either way.
 
-use crate::batch::BatchGame;
 use crate::game::{random_permutation, CooperativeGame};
 use xai_core::{catch_model, SampleBudget, XaiError, XaiResult};
 use xai_rand::parallel::{sum_partials, try_par_map_chunks};
@@ -42,12 +49,35 @@ pub fn permutation_shapley(
 /// Fallible twin of [`permutation_shapley`]: a game that panics or
 /// produces non-finite values yields [`XaiError::ModelFault`] instead of
 /// unwinding or leaking NaN into the estimate.
+///
+/// Permutations are processed in rounds of [`PERMS_PER_CHUNK`], each
+/// round's walk coalitions evaluated in a single
+/// [`CooperativeGame::values`] call. The walks consume no randomness, so
+/// drawing a round's permutations up front leaves the RNG stream identical
+/// to the interleaved walk of [`try_permutation_shapley_budgeted`] — at
+/// the same seed the two are bit-identical.
 pub fn try_permutation_shapley(
     game: &dyn CooperativeGame,
     permutations: usize,
     seed: u64,
 ) -> XaiResult<SampledShapley> {
-    try_permutation_shapley_budgeted(game, permutations, seed, SampleBudget::unlimited())
+    assert!(permutations > 0, "need at least one permutation");
+    let n = game.n_players();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sum = vec![0.0; n];
+    let mut sum_sq = vec![0.0; n];
+    let mut done = 0;
+    while done < permutations {
+        let round = PERMS_PER_CHUNK.min(permutations - done);
+        let perms: Vec<Vec<usize>> =
+            (0..round).map(|_| random_permutation(&mut rng, n)).collect();
+        catch_model("permutation Shapley walk evaluation", || {
+            walk_round(game, &perms, n, &mut sum, &mut sum_sq);
+        })?;
+        done += round;
+    }
+    check_sampled_sums(&sum)?;
+    Ok(finish_sampled(sum, sum_sq, permutations))
 }
 
 /// One fallible permutation walk: evaluates the `n + 1` walk coalitions
@@ -123,44 +153,33 @@ pub fn try_permutation_shapley_budgeted(
     Ok(finish_sampled(sum, sum_sq, done))
 }
 
-/// Permutations per executor task in [`permutation_shapley_parallel`],
-/// and the materialization round size of the batched estimators. Fixed
-/// (never derived from the worker count) so the chunk grid — and hence
-/// the floating-point output — is worker-invariant.
+/// Permutations per chunk of [`try_permutation_shapley_grid`], and the
+/// round size of the sequential core. Fixed (never derived from the worker
+/// count) so the chunk grid — and hence the floating-point output — is
+/// worker-invariant.
 pub(crate) const PERMS_PER_CHUNK: usize = 16;
 
-/// One scalar parallel chunk: draws `count` permutations from the chunk's
-/// RNG stream, walks them, and returns the chunk-local `(sum, sum_sq)`
-/// marginal accumulators. Shared verbatim by the parallel path and the
-/// shard executor (DESIGN.md §11) so both produce bit-identical partials
-/// for the same chunk.
-pub(crate) fn scalar_chunk_sums(
+/// One chunk of the grid: draws `count` permutations from the chunk's RNG
+/// stream, walks them in one [`CooperativeGame::values`] round, and
+/// returns the chunk-local `(sum, sum_sq)` marginal accumulators. The
+/// single chunk body of [`try_permutation_shapley_grid`] and of the shard
+/// executor (DESIGN.md §11), so both produce bit-identical partials for
+/// the same chunk.
+pub(crate) fn chunk_sums(
     game: &dyn CooperativeGame,
-    n: usize,
     count: usize,
     rng: &mut StdRng,
 ) -> (Vec<f64>, Vec<f64>) {
+    let n = game.n_players();
     let mut sum = vec![0.0; n];
     let mut sum_sq = vec![0.0; n];
-    let mut coalition = vec![false; n];
-    for _ in 0..count {
-        let perm = random_permutation(rng, n);
-        coalition.iter_mut().for_each(|c| *c = false);
-        let mut prev = game.value(&coalition);
-        for &player in &perm {
-            coalition[player] = true;
-            let cur = game.value(&coalition);
-            let marginal = cur - prev;
-            sum[player] += marginal;
-            sum_sq[player] += marginal * marginal;
-            prev = cur;
-        }
-    }
+    let perms: Vec<Vec<usize>> = (0..count).map(|_| random_permutation(rng, n)).collect();
+    walk_round(game, &perms, n, &mut sum, &mut sum_sq);
     (sum, sum_sq)
 }
 
 /// Folds ordered per-chunk `(sum, sum_sq)` partials and finishes the
-/// estimate — the shared merge epilogue of the parallel and shard paths.
+/// estimate — the shared merge epilogue of the grid and shard paths.
 pub(crate) fn merge_chunk_sums(
     partials: Vec<(Vec<f64>, Vec<f64>)>,
     permutations: usize,
@@ -174,11 +193,12 @@ pub(crate) fn merge_chunk_sums(
 
 /// Materializes the `n + 1` walk coalitions of each permutation in a
 /// round — `[∅, {p₀}, {p₀,p₁}, …, N]` — as one coalition list for a
-/// single [`BatchGame::values`] call, then replays the walks against the
-/// returned values. Accumulation runs perm-by-perm in walk order exactly
-/// like the scalar loop, so the partial sums are bit-identical to it.
+/// single [`CooperativeGame::values`] call, then replays the walks against
+/// the returned values. Accumulation runs perm-by-perm in walk order
+/// exactly like the interleaved walk, so the partial sums are
+/// bit-identical to it.
 fn walk_round(
-    game: &dyn BatchGame,
+    game: &dyn CooperativeGame,
     perms: &[Vec<usize>],
     n: usize,
     sum: &mut [f64],
@@ -220,105 +240,6 @@ fn check_sampled_sums(sum: &[f64]) -> XaiResult<()> {
     Ok(())
 }
 
-/// Batched permutation sampling: permutations are processed in rounds of
-/// [`PERMS_PER_CHUNK`], each round's walk coalitions materialized into a
-/// single [`BatchGame::values`] call.
-///
-/// The walks consume no randomness, so drawing a round's permutations up
-/// front leaves the RNG stream identical to the interleaved scalar loop —
-/// at the same seed this is bit-identical to [`permutation_shapley`]
-/// (given a bit-exact batched game).
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn permutation_shapley_batched(
-    game: &dyn BatchGame,
-    permutations: usize,
-    seed: u64,
-) -> SampledShapley {
-    try_permutation_shapley_batched(game, permutations, seed)
-        .expect("permutation Shapley failed; try_permutation_shapley_batched recovers this")
-}
-
-/// Fallible twin of [`permutation_shapley_batched`]; failure semantics as
-/// in [`try_permutation_shapley`].
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_permutation_shapley_batched(
-    game: &dyn BatchGame,
-    permutations: usize,
-    seed: u64,
-) -> XaiResult<SampledShapley> {
-    assert!(permutations > 0, "need at least one permutation");
-    let n = game.n_players();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut sum = vec![0.0; n];
-    let mut sum_sq = vec![0.0; n];
-    let mut done = 0;
-    while done < permutations {
-        let round = PERMS_PER_CHUNK.min(permutations - done);
-        let perms: Vec<Vec<usize>> =
-            (0..round).map(|_| random_permutation(&mut rng, n)).collect();
-        catch_model("permutation Shapley batched evaluation", || {
-            walk_round(game, &perms, n, &mut sum, &mut sum_sq);
-        })?;
-        done += round;
-    }
-    check_sampled_sums(&sum)?;
-    Ok(finish_sampled(sum, sum_sq, permutations))
-}
-
-/// Parallel batched permutation sampling: same fixed chunk grid and
-/// per-chunk PCG64 streams as [`permutation_shapley_parallel`], but each
-/// worker materializes its chunk's walk coalitions into one
-/// [`BatchGame::values`] call. Bit-identical to the scalar parallel
-/// estimator at every worker count.
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn permutation_shapley_batched_parallel(
-    game: &(dyn BatchGame + Sync),
-    permutations: usize,
-    seed: u64,
-    workers: usize,
-) -> SampledShapley {
-    try_permutation_shapley_batched_parallel(game, permutations, seed, workers)
-        .expect("permutation Shapley failed; try_permutation_shapley_batched_parallel recovers this")
-}
-
-/// Fallible twin of [`permutation_shapley_batched_parallel`]; failure
-/// semantics as in [`try_permutation_shapley_parallel`].
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_permutation_shapley_batched_parallel(
-    game: &(dyn BatchGame + Sync),
-    permutations: usize,
-    seed: u64,
-    workers: usize,
-) -> XaiResult<SampledShapley> {
-    assert!(permutations > 0, "need at least one permutation");
-    assert!(workers >= 1, "need at least one worker");
-    let n = game.n_players();
-    let partials = try_par_map_chunks(
-        permutations,
-        PERMS_PER_CHUNK,
-        seed,
-        workers,
-        |_chunk, range, rng| {
-            let mut sum = vec![0.0; n];
-            let mut sum_sq = vec![0.0; n];
-            let perms: Vec<Vec<usize>> =
-                range.map(|_| random_permutation(rng, n)).collect();
-            walk_round(game, &perms, n, &mut sum, &mut sum_sq);
-            (sum, sum_sq)
-        },
-    )
-    .map_err(XaiError::from)?;
-    let (sums, sums_sq): (Vec<_>, Vec<_>) = partials.into_iter().unzip();
-    let sum = sum_partials(sums);
-    let sum_sq = sum_partials(sums_sq);
-    check_sampled_sums(&sum)?;
-    Ok(finish_sampled(sum, sum_sq, permutations))
-}
-
 /// Shared mean / standard-error epilogue of the permutation estimators.
 fn finish_sampled(sum: Vec<f64>, sum_sq: Vec<f64>, permutations: usize) -> SampledShapley {
     let m = permutations as f64;
@@ -338,33 +259,21 @@ fn finish_sampled(sum: Vec<f64>, sum_sq: Vec<f64>, permutations: usize) -> Sampl
     SampledShapley { phi, std_err, permutations }
 }
 
-/// Parallel permutation sampling on the `xai_rand` fork-join executor.
+/// Permutation sampling over the fixed chunk grid on the `xai_rand`
+/// fork-join executor.
 ///
-/// The permutation budget is split into fixed-size chunks; chunk `c` draws
-/// its orderings from the PCG64 stream `child_seed(seed, c)` and partial
+/// The permutation budget is split into fixed-size chunks; chunk `c` runs
+/// [`chunk_sums`] on the PCG64 stream `child_seed(seed, c)` and partial
 /// sums are reduced in chunk order. The estimate is therefore a pure
-/// function of `(permutations, seed)` — bit-identical across runs and
-/// across worker counts. It is a *different* (equally unbiased) draw from
-/// the sequential [`permutation_shapley`], which uses one stream.
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn permutation_shapley_parallel(
-    game: &(dyn CooperativeGame + Sync),
-    permutations: usize,
-    seed: u64,
-    workers: usize,
-) -> SampledShapley {
-    try_permutation_shapley_parallel(game, permutations, seed, workers)
-        .expect("permutation Shapley failed; try_permutation_shapley_parallel recovers this")
-}
-
-/// Fallible twin of [`permutation_shapley_parallel`]: a panic inside a
-/// worker chunk yields [`XaiError::WorkerPanic`] naming the lowest-indexed
-/// panicking chunk (worker-count invariant); non-finite game values yield
-/// [`XaiError::ModelFault`].
-#[deprecated(note = "superseded by the unified explainer layer: use PermutationShapleyMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_permutation_shapley_parallel(
+/// function of `(permutations, seed)` — bit-identical across runs, worker
+/// counts and shard partitions. It is a *different* (equally unbiased)
+/// draw from the sequential [`try_permutation_shapley`], which uses one
+/// stream.
+///
+/// A panic inside a chunk yields [`XaiError::WorkerPanic`] naming the
+/// lowest-indexed panicking chunk (worker-count invariant); non-finite
+/// game values yield [`XaiError::ModelFault`].
+pub fn try_permutation_shapley_grid(
     game: &(dyn CooperativeGame + Sync),
     permutations: usize,
     seed: u64,
@@ -372,13 +281,12 @@ pub fn try_permutation_shapley_parallel(
 ) -> XaiResult<SampledShapley> {
     assert!(permutations > 0, "need at least one permutation");
     assert!(workers >= 1, "need at least one worker");
-    let n = game.n_players();
     let partials = try_par_map_chunks(
         permutations,
         PERMS_PER_CHUNK,
         seed,
         workers,
-        |_chunk, range, rng| scalar_chunk_sums(game, n, range.len(), rng),
+        |_chunk, range, rng| chunk_sums(game, range.len(), rng),
     )
     .map_err(XaiError::from)?;
     merge_chunk_sums(partials, permutations)
@@ -448,7 +356,6 @@ pub fn try_antithetic_permutation_shapley(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use crate::exact::exact_shapley;
@@ -460,9 +367,9 @@ mod tests {
     fn parallel_estimator_is_worker_invariant_and_converges() {
         let game = TableGame::glove();
         let exact = exact_shapley(&game);
-        let one = permutation_shapley_parallel(&game, 2000, 7, 1);
+        let one = try_permutation_shapley_grid(&game, 2000, 7, 1).unwrap();
         for workers in [2, 4] {
-            let w = permutation_shapley_parallel(&game, 2000, 7, workers);
+            let w = try_permutation_shapley_grid(&game, 2000, 7, workers).unwrap();
             assert_eq!(one.phi, w.phi, "workers={workers} diverged");
             assert_eq!(one.std_err, w.std_err);
         }
@@ -474,7 +381,7 @@ mod tests {
     #[test]
     fn parallel_estimator_preserves_efficiency() {
         let game = TableGame::new(3, vec![1.0, 2.0, 0.0, 4.0, 3.0, 5.0, 2.0, 9.0]);
-        let est = permutation_shapley_parallel(&game, 33, 5, 4);
+        let est = try_permutation_shapley_grid(&game, 33, 5, 4).unwrap();
         let total: f64 = est.phi.iter().sum();
         assert!((total - (game.grand_value() - game.empty_value())).abs() < 1e-9);
     }
@@ -540,11 +447,13 @@ mod tests {
         use crate::game::PredictionGame;
         use xai_linalg::Matrix;
 
-        // Table game through the default batch loop, round-boundary sizes.
+        // Round-boundary sizes: the round-batched core equals the
+        // interleaved walk of the (unlimited) budgeted path.
         let game = TableGame::glove();
         for perms in [1, 15, 16, 17, 40] {
             let a = permutation_shapley(&game, perms, 21);
-            let b = permutation_shapley_batched(&game, perms, 21);
+            let b = try_permutation_shapley_budgeted(&game, perms, 21, SampleBudget::unlimited())
+                .unwrap();
             assert_eq!(a.phi, b.phi, "perms={perms}");
             assert_eq!(a.std_err, b.std_err, "perms={perms}");
         }
@@ -558,14 +467,14 @@ mod tests {
         let scalar_game = PredictionGame::new(&model, &instance, &background);
         let batch_game = BatchPredictionGame::new(&batched_model, &instance, &background);
         let a = permutation_shapley(&scalar_game, 25, 3);
-        let b = permutation_shapley_batched(&batch_game, 25, 3);
+        let b = permutation_shapley(&batch_game, 25, 3);
         assert_eq!(a.phi, b.phi);
         assert_eq!(a.std_err, b.std_err);
 
         // The memo cache must not perturb bits either, and walks repeat
         // the empty/grand coalitions every permutation, so it must hit.
         let cached = CachedGame::new(&batch_game);
-        let c = permutation_shapley_batched(&cached, 25, 3);
+        let c = permutation_shapley(&cached, 25, 3);
         assert_eq!(a.phi, c.phi);
         let (hits, misses) = cached.stats();
         assert!(hits > 0 && misses < 25 * 4, "hits={hits} misses={misses}");
@@ -573,13 +482,22 @@ mod tests {
 
     #[test]
     fn batched_parallel_matches_scalar_parallel_bitwise() {
-        let game = TableGame::new(
-            4,
-            (0..16).map(|m: usize| (m.count_ones() as f64).powi(2) * 0.5 - 1.0).collect(),
-        );
-        let reference = permutation_shapley_parallel(&game, 70, 13, 1);
+        use crate::batch::BatchPredictionGame;
+        use crate::game::PredictionGame;
+        use xai_linalg::Matrix;
+
+        let model = |x: &[f64]| (x[0] * x[0] - 0.5 * x[1]).sin() + x[2] * x[3];
+        let batched_model = |m: &Matrix| -> Vec<f64> { m.iter_rows().map(model).collect() };
+        let background = Matrix::from_rows(&[
+            vec![0.2, -0.1, 1.0, 0.0],
+            vec![1.3, 0.6, -0.4, 2.0],
+        ]);
+        let instance = [0.5, 1.1, -2.0, 0.7];
+        let scalar_game = PredictionGame::new(&model, &instance, &background);
+        let batch_game = BatchPredictionGame::new(&batched_model, &instance, &background);
+        let reference = try_permutation_shapley_grid(&scalar_game, 70, 13, 1).unwrap();
         for workers in [1, 2, 4] {
-            let b = permutation_shapley_batched_parallel(&game, 70, 13, workers);
+            let b = try_permutation_shapley_grid(&batch_game, 70, 13, workers).unwrap();
             assert_eq!(reference.phi, b.phi, "workers={workers}");
             assert_eq!(reference.std_err, b.std_err, "workers={workers}");
         }

@@ -183,12 +183,13 @@ pub fn lime_audit(
     seed: u64,
 ) -> AuditResult {
     let lime = crate::lime::LimeExplainer::fit(data);
+    let surface = xai_models::batch_from_scalar(model);
     let m = instances.min(data.n_rows());
     let mut top1 = 0usize;
     let mut top3 = 0usize;
     for i in 0..m {
         let exp = lime.explain(
-            model,
+            &surface,
             data.row(i),
             crate::lime::LimeConfig { n_samples: 400, ..Default::default() },
             seed.wrapping_add(i as u64),

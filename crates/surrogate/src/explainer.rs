@@ -1,22 +1,20 @@
 //! Unified-layer `Explainer` impls for the surrogate family (DESIGN.md
 //! §9): LIME, SP-LIME, PDP/ICE and integrated-gradients saliency.
 //!
-//! Dispatch contract: `RunConfig::batched` selects the batched legacy
-//! twin where one exists (LIME, PDP). `workers > 1` fans LIME's
-//! perturbation chunks and SP-LIME's candidate explanations across the
-//! seeded executor: LIME's parallel neighbourhood draws chunk `c` from
-//! the `child_seed(seed, c)` stream (worker-count invariant, and the
-//! grid the shard layer partitions), while SP-LIME's per-candidate
-//! streams make its parallel result bit-identical to the sequential one.
-//! PDP and integrated gradients are deterministic single passes with no
-//! random draws for the executor to steer. A `SampleBudget` is honoured
-//! by LIME on the scalar path (an eval cap of `k` equals an unbudgeted
-//! run with `n_samples = k` bit for bit); SP-LIME, PDP/ICE and
-//! integrated gradients reject budgets as [`XaiError::Unsupported`]
-//! rather than silently ignoring the cap.
-// This module is the blessed call site of the deprecated legacy twins:
-// the unified dispatch below is what replaces them.
-#![allow(deprecated)]
+//! Dispatch contract: LIME and PDP each have one core over a batched
+//! model surface, and `RunConfig::batched` picks only that surface
+//! ([`with_surface`]). `workers > 1` alone fans LIME's perturbation chunks
+//! and SP-LIME's candidate explanations across the seeded executor:
+//! LIME's grid draws chunk `c` from the `child_seed(seed, c)` stream
+//! (worker-count invariant, and the grid the shard layer partitions, with
+//! the same per-chunk body), while SP-LIME's per-candidate streams make
+//! its parallel result bit-identical to the sequential one. PDP and
+//! integrated gradients are deterministic single passes with no random
+//! draws for the executor to steer. A `SampleBudget` is honoured by LIME
+//! on the scalar path (an eval cap of `k` equals an unbudgeted run with
+//! `n_samples = k` bit for bit); SP-LIME, PDP/ICE and integrated gradients
+//! reject budgets as [`XaiError::Unsupported`] rather than silently
+//! ignoring the cap.
 
 use xai_core::shard::{
     arr_field, chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error,
@@ -30,12 +28,13 @@ use xai_core::{
 use xai_linalg::stats::mean;
 use xai_linalg::Matrix;
 use xai_rand::child_seed;
-use xai_rand::parallel::{try_par_map_chunks, try_par_map_seeded};
+use xai_models::batch_from_scalar;
+use xai_rand::parallel::try_par_map_seeded;
 use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 
 use crate::lime::{self, LimeConfig, LimeExplainer, LimeProbe};
-use crate::pdp::{feature_grid, try_partial_dependence, try_partial_dependence_batched};
+use crate::pdp::{feature_grid, try_partial_dependence};
 use crate::saliency::{integrated_gradients, Differentiable};
 use crate::sp_lime::{self, sp_lime};
 
@@ -72,34 +71,20 @@ fn lime_strict(exp: lime::LimeExplanation, plan: &RunConfig) -> XaiResult<Featur
     Ok(exp.attribution)
 }
 
-/// LIME's parallel neighbourhood: the probe grid tiled over the seeded
-/// executor, chunk `c` drawing from the `child_seed(seed, c)` stream —
-/// the same grid [`ShardableExplainer`] partitions, so any worker count
-/// and any shard split reproduce each other bit for bit.
-fn parallel_probes(
-    explainer: &LimeExplainer,
+/// Runs `f` over the batched model surface the plan selects — the only
+/// place `RunConfig::batched` matters to LIME and PDP: the oracle's
+/// vectorized `predict_batch` for a batched plan, and its scalar `predict`
+/// looped over rows for a scalar one. Both surfaces return the same bits.
+fn with_surface<R>(
     model: &dyn ModelOracle,
-    instance: &[f64],
-    config: LimeConfig,
     plan: &RunConfig,
-) -> XaiResult<Vec<LimeProbe>> {
-    assert!(config.n_samples >= 8, "need a non-trivial neighbourhood");
-    let width = lime::width_for(config, instance.len());
-    let f = |x: &[f64]| model.predict(x);
-    let chunks = try_par_map_chunks(
-        config.n_samples,
-        lime::PROBES_PER_CHUNK,
-        plan.seed,
-        plan.workers,
-        |_c, range: std::ops::Range<usize>, rng: &mut StdRng| {
-            explainer.probe_chunk(&f, instance, width, range.len(), rng)
-        },
-    )?;
-    let mut probes = Vec::with_capacity(config.n_samples);
-    for chunk in chunks {
-        probes.extend(chunk?);
+    f: impl FnOnce(&(dyn Fn(&Matrix) -> Vec<f64> + Sync)) -> R,
+) -> R {
+    if plan.batched {
+        f(&|m: &Matrix| model.predict_batch(m))
+    } else {
+        f(&batch_from_scalar(|x: &[f64]| model.predict(x)))
     }
-    Ok(probes)
 }
 
 /// LIME local surrogate regression (§2.1.1) through the unified layer.
@@ -118,32 +103,24 @@ impl Explainer for LimeMethod {
     fn explain(&self, model: &dyn ModelOracle, req: &ExplainRequest<'_>) -> XaiResult<Explanation> {
         let instance = req.need_instance("LIME")?;
         let explainer = LimeExplainer::fit(req.data);
-        let f = |x: &[f64]| model.predict(x);
-        let fb = |m: &Matrix| model.predict_batch(m);
-        let exp = if req.plan.budgeted() {
-            if req.plan.batched {
+        let plan = &req.plan;
+        let exp = if plan.budgeted() {
+            if plan.batched {
                 return Err(XaiError::Unsupported {
                     context: "budgeted LIME is scalar; set batched = false".into(),
                 });
             }
-            explainer.try_explain_budgeted(
-                &f,
-                instance,
-                self.config,
-                req.plan.seed,
-                req.plan.budget,
-            )?
-        } else if req.plan.batched {
-            explainer.try_explain_batched(&fb, instance, self.config, req.plan.seed)?
-        } else if req.plan.parallel() {
-            validate::finite_slice("LIME instance", instance)?;
-            let probes = parallel_probes(&explainer, model, instance, self.config, &req.plan)?;
-            let prediction =
-                catch_model("LIME instance prediction", || model.predict(instance))?;
-            let width = lime::width_for(self.config, instance.len());
-            explainer.fit_probes(probes, width, prediction, self.config)?
+            let f = |x: &[f64]| model.predict(x);
+            explainer.try_explain_budgeted(&f, instance, self.config, plan.seed, plan.budget)?
         } else {
-            explainer.try_explain(&f, instance, self.config, req.plan.seed)?
+            with_surface(model, plan, |surface| {
+                if plan.parallel() {
+                    let workers = plan.workers;
+                    explainer.try_explain_grid(surface, instance, self.config, plan.seed, workers)
+                } else {
+                    explainer.try_explain(surface, instance, self.config, plan.seed)
+                }
+            })?
         };
         Ok(Explanation::Attribution(lime_strict(exp, &req.plan)?))
     }
@@ -213,22 +190,24 @@ impl ShardableExplainer for LimeMethod {
         let grid = self.draw_grid(req)?;
         let explainer = LimeExplainer::fit(req.data);
         let width = lime::width_for(self.config, instance.len());
-        let f = |x: &[f64]| model.predict(x);
-        let mut out = Vec::with_capacity(chunks.len());
-        for c in chunks {
-            let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
-            let probes =
-                explainer.probe_chunk(&f, instance, width, grid.chunk_range(c).len(), &mut rng)?;
-            let rows = probes
-                .into_iter()
-                .map(|(mut row, weight, target)| {
-                    row.push(weight);
-                    row.push(target);
-                    shard_nums("LIME probe row", &row)
+        let out = with_surface(model, &req.plan, |surface| {
+            chunks
+                .map(|c| {
+                    let mut rng = StdRng::seed_from_u64(child_seed(req.plan.seed, c as u64));
+                    let count = grid.chunk_range(c).len();
+                    let rows = explainer
+                        .probe_chunk(surface, instance, width, count, &mut rng)?
+                        .into_iter()
+                        .map(|(mut row, weight, target)| {
+                            row.push(weight);
+                            row.push(target);
+                            shard_nums("LIME probe row", &row)
+                        })
+                        .collect::<XaiResult<Vec<Json>>>()?;
+                    Ok(Json::obj(vec![("rows", Json::Arr(rows))]))
                 })
-                .collect::<XaiResult<Vec<Json>>>()?;
-            out.push(Json::obj(vec![("rows", Json::Arr(rows))]));
-        }
+                .collect::<XaiResult<Vec<Json>>>()
+        })?;
         Ok(chunks_json(out))
     }
 
@@ -275,7 +254,8 @@ impl ShardableExplainer for LimeMethod {
                 probes.push((vals[..d].to_vec(), vals[d], vals[d + 1]));
             }
         }
-        let prediction = catch_model("LIME instance prediction", || model.predict(instance))?;
+        let prediction =
+            with_surface(model, &req.plan, |surface| lime::predict_instance(surface, instance))?;
         let width = lime::width_for(self.config, instance.len());
         let exp = explainer.fit_probes(probes, width, prediction, self.config)?;
         Ok(Explanation::Attribution(lime_strict(exp, &req.plan)?))
@@ -507,20 +487,9 @@ impl Explainer for PdpMethod {
             });
         }
         let grid = feature_grid(req.data, feature, self.points);
-        let f = |x: &[f64]| model.predict(x);
-        let fb = |m: &Matrix| model.predict_batch(m);
-        let pd = if req.plan.batched {
-            try_partial_dependence_batched(
-                &fb,
-                req.data,
-                feature,
-                &grid,
-                self.max_rows,
-                self.keep_ice,
-            )?
-        } else {
-            try_partial_dependence(&f, req.data, feature, &grid, self.max_rows, self.keep_ice)?
-        };
+        let pd = with_surface(model, &req.plan, |surface| {
+            try_partial_dependence(surface, req.data, feature, &grid, self.max_rows, self.keep_ice)
+        })?;
         Ok(Explanation::Curve(CurveExplanation {
             feature: pd.feature,
             grid: pd.grid,

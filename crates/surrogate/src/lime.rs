@@ -8,7 +8,15 @@
 //! neighbourhood sampling is reliable — are exactly the knobs exposed
 //! here ([`LimeConfig::kernel_width`], [`LimeConfig::n_samples`]) and
 //! measured by `stability` and experiments E5/E7.
+//!
+//! The explainer has one sequential core ([`LimeExplainer::try_explain`])
+//! and one chunk-grid core ([`LimeExplainer::try_explain_grid`]), plus the
+//! budgeted prefix run. Both cores evaluate the neighbourhood through a
+//! batched model surface (`Fn(&Matrix) -> Vec<f64>`); callers holding a
+//! scalar closure pass `xai_models::batch_from_scalar(f)`, which loops over
+//! rows and yields the same bits.
 
+use xai_rand::parallel::try_par_map_chunks;
 use xai_rand::rngs::StdRng;
 use xai_rand::SeedableRng;
 use xai_core::{catch_model, validate, FeatureAttribution, SampleBudget, XaiError, XaiResult};
@@ -38,7 +46,7 @@ impl Default for LimeConfig {
     }
 }
 
-/// Probes per executor chunk on the parallel/sharded LIME path: chunk `c`
+/// Probes per chunk of [`LimeExplainer::try_explain_grid`]: chunk `c`
 /// draws its probes from the `child_seed(seed, c)` stream, so any worker
 /// count — and any shard partition over the same chunk grid — sees the
 /// same neighbourhood.
@@ -49,7 +57,7 @@ pub(crate) const PROBES_PER_CHUNK: usize = 32;
 pub(crate) type LimeProbe = (Vec<f64>, f64, f64);
 
 /// The kernel width a config resolves to at dimensionality `d` — shared
-/// by the sequential neighbourhood and the chunked probe stream (it must
+/// by every probe stream, sequential, chunked and budgeted (it must
 /// not depend on the sample count, or budgeted prefixes would diverge).
 pub(crate) fn width_for(config: LimeConfig, d: usize) -> f64 {
     config.kernel_width.unwrap_or(0.75 * (d as f64).sqrt()).max(1e-9)
@@ -150,13 +158,14 @@ impl LimeExplainer {
             .collect()
     }
 
-    /// Draws the whole neighbourhood up front: the raw probe rows as one
-    /// matrix (ready for a single batched model call), the interpretable
-    /// design matrix (intercept in column 0), and the locality weights.
+    /// Draws the whole neighbourhood up front from one
+    /// `seed_from_u64(seed)` stream: the raw probe rows as one matrix
+    /// (ready for a single batched model call), the interpretable design
+    /// matrix (intercept in column 0), and the locality weights.
     /// Perturbation draws consume the RNG in the same per-feature order as
-    /// the historical interleaved loop, and model evaluation consumes no
-    /// randomness, so both the scalar and the batched paths see identical
-    /// neighbourhoods at the same seed.
+    /// [`LimeExplainer::probe_chunk`], and model evaluation consumes no
+    /// randomness, so the sequential core and the budgeted prefix see the
+    /// same neighbourhood at the same seed.
     fn neighbourhood(
         &self,
         instance: &[f64],
@@ -189,41 +198,41 @@ impl LimeExplainer {
     }
 
     /// Draws and evaluates one chunk of neighbourhood probes from `rng`'s
-    /// stream. This is the unit the parallel and sharded LIME paths tile:
-    /// chunk `c` of the grid runs this body with an RNG seeded
-    /// `child_seed(seed, c)`, so in-process fork-join execution and
-    /// cross-process shards reproduce each other bit for bit.
+    /// stream, in one call of the batched `model` surface. This is the
+    /// unit the grid core and the shard executor tile: chunk `c` of the
+    /// grid runs this body with an RNG seeded `child_seed(seed, c)`, so
+    /// in-process fork-join execution and cross-process shards reproduce
+    /// each other bit for bit.
     pub(crate) fn probe_chunk(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         width: f64,
         count: usize,
         rng: &mut StdRng,
     ) -> XaiResult<Vec<LimeProbe>> {
         let origin = self.instance_interp(instance);
+        let mut raws = Matrix::zeros(count, instance.len());
         let mut drawn = Vec::with_capacity(count);
-        for _ in 0..count {
+        for i in 0..count {
             let (raw, interp) = self.perturb(instance, rng);
             let dist2: f64 =
                 interp.iter().zip(&origin).map(|(a, b)| (a - b) * (a - b)).sum();
-            let weight = (-dist2 / (width * width)).exp();
-            drawn.push((raw, interp, weight));
+            raws.row_mut(i).copy_from_slice(&raw);
+            drawn.push((interp, (-dist2 / (width * width)).exp()));
         }
-        let targets = catch_model("LIME neighbourhood evaluation", || {
-            drawn.iter().map(|(raw, _, _)| model(raw)).collect::<Vec<f64>>()
-        })?;
+        let targets = evaluate(model, &raws)?;
         Ok(drawn
             .into_iter()
             .zip(targets)
-            .map(|((_, interp, weight), target)| (interp, weight, target))
+            .map(|((interp, weight), target)| (interp, weight, target))
             .collect())
     }
 
-    /// The merge epilogue of the chunked paths: assembles the design
-    /// matrix / weights / targets from concatenated probes (in chunk
-    /// order) and runs the same surrogate fit as the sequential path,
-    /// sized to the probes that actually arrived.
+    /// The merge epilogue of the grid core and the shard merge: assembles
+    /// the design matrix / weights / targets from concatenated probes (in
+    /// chunk order) and runs the same surrogate fit as the sequential
+    /// core, sized to the probes that actually arrived.
     pub(crate) fn fit_probes(
         &self,
         probes: Vec<LimeProbe>,
@@ -250,8 +259,9 @@ impl LimeExplainer {
         self.try_fit_surrogate(design, targets, weights, width, prediction, fit_config)
     }
 
-    /// Explains one prediction of a black-box model, one probe row per
-    /// model call.
+    /// Explains one prediction of a black-box model through its batched
+    /// surface (`xai_models::batch_proba_fn` / `batch_regress_fn`, or
+    /// `batch_from_scalar` over a scalar closure).
     ///
     /// # Panics
     /// Panics when the model misbehaves (panics, returns non-finite
@@ -259,7 +269,7 @@ impl LimeExplainer {
     /// use [`LimeExplainer::try_explain`] for typed errors.
     pub fn explain(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         config: LimeConfig,
         seed: u64,
@@ -272,23 +282,57 @@ impl LimeExplainer {
     /// yields [`XaiError::NonFiniteInput`], a panicking or NaN-producing
     /// model yields [`XaiError::ModelFault`], and a surrogate regression
     /// that needed ridge escalation comes back `Ok` with
-    /// `degraded = true`.
+    /// `degraded = true`. The whole neighbourhood is drawn from one
+    /// `seed_from_u64(seed)` stream and evaluated in one model call.
     pub fn try_explain(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         config: LimeConfig,
         seed: u64,
     ) -> XaiResult<LimeExplanation> {
         validate::finite_slice("LIME instance", instance)?;
         let (raws, design, weights, width) = self.neighbourhood(instance, config, seed);
-        let (targets, prediction) = catch_model("LIME neighbourhood evaluation", || {
-            let t: Vec<f64> = raws.iter_rows().map(|r| model(r)).collect();
-            let p = model(instance);
-            (t, p)
-        })?;
+        let targets = evaluate(model, &raws)?;
+        let prediction = predict_instance(model, instance)?;
         check_targets(&targets, prediction)?;
         self.try_fit_surrogate(design, targets, weights, width, prediction, config)
+    }
+
+    /// LIME over the fixed probe grid, spread across `workers` threads on
+    /// the seeded executor: chunk `c` of [`PROBES_PER_CHUNK`] probes runs
+    /// [`LimeExplainer::probe_chunk`] on the `child_seed(seed, c)` stream
+    /// and probes are concatenated in chunk order, so the result is
+    /// bit-identical across worker counts and across any shard partition
+    /// of the grid. It is a different (equally valid) neighbourhood from
+    /// the one-stream [`LimeExplainer::try_explain`]. A panic inside a
+    /// chunk yields [`XaiError::WorkerPanic`]; other failures as in
+    /// [`LimeExplainer::try_explain`].
+    pub fn try_explain_grid(
+        &self,
+        model: &(dyn Fn(&Matrix) -> Vec<f64> + Sync),
+        instance: &[f64],
+        config: LimeConfig,
+        seed: u64,
+        workers: usize,
+    ) -> XaiResult<LimeExplanation> {
+        validate::finite_slice("LIME instance", instance)?;
+        assert_eq!(instance.len(), self.n_features(), "instance arity mismatch");
+        assert!(config.n_samples >= 8, "need a non-trivial neighbourhood");
+        let width = width_for(config, instance.len());
+        let chunks = try_par_map_chunks(
+            config.n_samples,
+            PROBES_PER_CHUNK,
+            seed,
+            workers,
+            |_c, range, rng| self.probe_chunk(model, instance, width, range.len(), rng),
+        )?;
+        let mut probes = Vec::with_capacity(config.n_samples);
+        for chunk in chunks {
+            probes.extend(chunk?);
+        }
+        let prediction = predict_instance(model, instance)?;
+        self.fit_probes(probes, width, prediction, config)
     }
 
     /// Budgeted twin of [`LimeExplainer::try_explain`]: neighbourhood
@@ -354,59 +398,9 @@ impl LimeExplainer {
         self.try_fit_surrogate(design, targets, weights, width, prediction, fit_config)
     }
 
-    /// Explains one prediction through a *batched* model surface: the whole
-    /// neighbourhood is materialized as one probe matrix and evaluated in a
-    /// single call (`xai_models::batch_proba_fn` / `batch_regress_fn`
-    /// produce suitable closures). Bit-identical to [`LimeExplainer::explain`]
-    /// at the same seed when the batched model matches the scalar one
-    /// row-for-row — which the `xai-models` vectorized kernels guarantee.
-    #[deprecated(note = "superseded by the unified explainer layer: use LimeMethod with a RunConfig (DESIGN.md §9)")]
-    #[allow(deprecated)] // the twins forward to each other until removal
-    pub fn explain_batched(
-        &self,
-        model: &dyn Fn(&Matrix) -> Vec<f64>,
-        instance: &[f64],
-        config: LimeConfig,
-        seed: u64,
-    ) -> LimeExplanation {
-        self.try_explain_batched(model, instance, config, seed)
-            .expect("LIME failed; try_explain_batched recovers this")
-    }
-
-    /// Fallible twin of [`LimeExplainer::explain_batched`]; failure
-    /// semantics as in [`LimeExplainer::try_explain`].
-    #[deprecated(note = "superseded by the unified explainer layer: use LimeMethod with a RunConfig (DESIGN.md §9)")]
-    #[allow(deprecated)] // the twins forward to each other until removal
-    pub fn try_explain_batched(
-        &self,
-        model: &dyn Fn(&Matrix) -> Vec<f64>,
-        instance: &[f64],
-        config: LimeConfig,
-        seed: u64,
-    ) -> XaiResult<LimeExplanation> {
-        validate::finite_slice("LIME instance", instance)?;
-        let (raws, design, weights, width) = self.neighbourhood(instance, config, seed);
-        let (targets, prediction) = catch_model("LIME batched neighbourhood evaluation", || {
-            let t = model(&raws);
-            let p = model(&Matrix::from_rows(&[instance.to_vec()]))[0];
-            (t, p)
-        })?;
-        if targets.len() != config.n_samples {
-            return Err(XaiError::ModelFault {
-                context: format!(
-                    "LIME batched model returned {} outputs for {} probes",
-                    targets.len(),
-                    config.n_samples
-                ),
-            });
-        }
-        check_targets(&targets, prediction)?;
-        self.try_fit_surrogate(design, targets, weights, width, prediction, config)
-    }
-
-    /// The surrogate fit shared by the scalar and batched paths: weighted
-    /// ridge regression (with ridge escalation on singular systems),
-    /// optional top-k refit, fidelity scoring.
+    /// The surrogate fit shared by every path: weighted ridge regression
+    /// (with ridge escalation on singular systems), optional top-k refit,
+    /// fidelity scoring.
     pub(crate) fn try_fit_surrogate(
         &self,
         design: Matrix,
@@ -466,6 +460,33 @@ impl LimeExplainer {
     }
 }
 
+/// Evaluates a probe matrix through the batched `model` surface under
+/// panic isolation; an output count that does not match the probe count is
+/// a model fault.
+fn evaluate(model: &dyn Fn(&Matrix) -> Vec<f64>, raws: &Matrix) -> XaiResult<Vec<f64>> {
+    let targets = catch_model("LIME neighbourhood evaluation", || model(raws))?;
+    if targets.len() != raws.rows() {
+        return Err(XaiError::ModelFault {
+            context: format!(
+                "LIME model returned {} outputs for {} probes",
+                targets.len(),
+                raws.rows()
+            ),
+        });
+    }
+    Ok(targets)
+}
+
+/// The model output at the explained instance, through the same batched
+/// surface as the neighbourhood (a one-row call). Shared by both cores and
+/// the shard merge.
+pub(crate) fn predict_instance(
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
+    instance: &[f64],
+) -> XaiResult<f64> {
+    catch_model("LIME instance prediction", || model(&Matrix::from_rows(&[instance.to_vec()]))[0])
+}
+
 /// Rejects non-finite model outputs on the neighbourhood — the model (not
 /// the caller's data) produced them, so they map to
 /// [`XaiError::ModelFault`].
@@ -519,11 +540,10 @@ fn solve_surrogate(
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use xai_data::synth::{circles, german_credit, linear_gaussian};
-    use xai_models::{proba_fn, Classifier, LogisticConfig, LogisticRegression};
+    use xai_models::{batch_from_scalar, proba_fn, Classifier, LogisticConfig, LogisticRegression};
 
     fn credit_model_and_data() -> (LogisticRegression, Dataset) {
         let data = german_credit(800, 3);
@@ -543,14 +563,14 @@ mod tests {
             .try_explain_budgeted(&f, row, wide, 13, SampleBudget::with_max_evals(40))
             .unwrap();
         let narrow = LimeConfig { n_samples: 40, ..LimeConfig::default() };
-        let short = lime.try_explain(&f, row, narrow, 13).unwrap();
+        let short = lime.try_explain(&batch_from_scalar(&f), row, narrow, 13).unwrap();
         assert_eq!(budgeted.attribution.values, short.attribution.values);
         assert_eq!(budgeted.attribution.baseline, short.attribution.baseline);
         assert_eq!(budgeted.local_fidelity, short.local_fidelity);
         // An unlimited budget reproduces the plain run exactly.
         let unlimited =
             lime.try_explain_budgeted(&f, row, wide, 13, SampleBudget::unlimited()).unwrap();
-        let plain = lime.try_explain(&f, row, wide, 13).unwrap();
+        let plain = lime.try_explain(&batch_from_scalar(&f), row, wide, 13).unwrap();
         assert_eq!(unlimited.attribution.values, plain.attribution.values);
     }
 
@@ -580,7 +600,7 @@ mod tests {
         let model = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
         let lime = LimeExplainer::fit(&data);
         let f = proba_fn(&model);
-        let exp = lime.explain(&f, data.row(0), LimeConfig::default(), 42);
+        let exp = lime.explain(&batch_from_scalar(&f), data.row(0), LimeConfig::default(), 42);
         let values = &exp.attribution.values;
         assert!(values[0] > 0.0, "positive-weight feature must attribute positive");
         assert!(values[1] < 0.0);
@@ -595,7 +615,7 @@ mod tests {
         let (model, data) = credit_model_and_data();
         let lime = LimeExplainer::fit(&data);
         let f = proba_fn(&model);
-        let exp = lime.explain(&f, data.row(1), LimeConfig::default(), 7);
+        let exp = lime.explain(&batch_from_scalar(&f), data.row(1), LimeConfig::default(), 7);
         assert!(exp.local_fidelity > 0.7, "fidelity {}", exp.local_fidelity);
     }
 
@@ -613,13 +633,13 @@ mod tests {
         let f = proba_fn(&forest);
         let instance = data.row(0);
         let narrow = lime.explain(
-            &f,
+            &batch_from_scalar(&f),
             instance,
             LimeConfig { kernel_width: Some(0.3), ..LimeConfig::default() },
             3,
         );
         let wide = lime.explain(
-            &f,
+            &batch_from_scalar(&f),
             instance,
             LimeConfig { kernel_width: Some(10.0), ..LimeConfig::default() },
             3,
@@ -638,7 +658,7 @@ mod tests {
         let lime = LimeExplainer::fit(&data);
         let f = proba_fn(&model);
         let exp = lime.explain(
-            &f,
+            &batch_from_scalar(&f),
             data.row(2),
             LimeConfig { max_features: Some(3), ..LimeConfig::default() },
             11,
@@ -652,10 +672,10 @@ mod tests {
         let (model, data) = credit_model_and_data();
         let lime = LimeExplainer::fit(&data);
         let f = proba_fn(&model);
-        let a = lime.explain(&f, data.row(0), LimeConfig::default(), 1);
-        let b = lime.explain(&f, data.row(0), LimeConfig::default(), 1);
+        let a = lime.explain(&batch_from_scalar(&f), data.row(0), LimeConfig::default(), 1);
+        let b = lime.explain(&batch_from_scalar(&f), data.row(0), LimeConfig::default(), 1);
         assert_eq!(a.attribution.values, b.attribution.values);
-        let c = lime.explain(&f, data.row(0), LimeConfig::default(), 2);
+        let c = lime.explain(&batch_from_scalar(&f), data.row(0), LimeConfig::default(), 2);
         assert_ne!(a.attribution.values, c.attribution.values);
     }
 
@@ -668,8 +688,8 @@ mod tests {
         let bf = batch_proba_fn(&model);
         for (seed, max_features) in [(1, None), (8, Some(3))] {
             let cfg = LimeConfig { n_samples: 300, max_features, ..LimeConfig::default() };
-            let scalar = lime.explain(&f, data.row(0), cfg, seed);
-            let batched = lime.explain_batched(&bf, data.row(0), cfg, seed);
+            let scalar = lime.explain(&batch_from_scalar(&f), data.row(0), cfg, seed);
+            let batched = lime.explain(&bf, data.row(0), cfg, seed);
             assert_eq!(scalar.attribution.values, batched.attribution.values);
             assert_eq!(scalar.attribution.baseline, batched.attribution.baseline);
             assert_eq!(scalar.attribution.prediction, batched.attribution.prediction);
@@ -691,6 +711,25 @@ mod tests {
             }
             Classifier::proba_one(&model, x)
         };
-        let _ = lime.explain(&checker, data.row(5), LimeConfig { n_samples: 200, ..Default::default() }, 3);
+        let config = LimeConfig { n_samples: 200, ..Default::default() };
+        let _ = lime.explain(&batch_from_scalar(&checker), data.row(5), config, 3);
+    }
+
+    #[test]
+    fn grid_is_worker_invariant_and_surface_invariant() {
+        use xai_models::batch_proba_fn;
+        let (model, data) = credit_model_and_data();
+        let lime = LimeExplainer::fit(&data);
+        let f = proba_fn(&model);
+        let scalar = batch_from_scalar(&f);
+        let bf = batch_proba_fn(&model);
+        let cfg = LimeConfig { n_samples: 150, ..LimeConfig::default() };
+        let reference = lime.try_explain_grid(&scalar, data.row(3), cfg, 5, 1).unwrap();
+        for workers in [1, 2, 4] {
+            let g = lime.try_explain_grid(&bf, data.row(3), cfg, 5, workers).unwrap();
+            assert_eq!(reference.attribution.values, g.attribution.values, "workers={workers}");
+            assert_eq!(reference.attribution.prediction, g.attribution.prediction);
+            assert_eq!(reference.local_fidelity, g.local_fidelity);
+        }
     }
 }

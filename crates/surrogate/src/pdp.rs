@@ -7,10 +7,17 @@
 //! PDP of feature `j` is `g(v) = E_X[f(X with X_j := v)]`; ICE keeps the
 //! per-instance curves that the expectation averages (and can hide —
 //! heterogeneous ICE curves with a flat PDP signal interactions).
+//!
+//! One core evaluates every probe row through a batched model surface
+//! (`Fn(&Matrix) -> Vec<f64>`); callers holding a scalar closure pass
+//! `xai_models::batch_from_scalar(f)`, which yields the same bits. PDP
+//! draws nothing at random, so it has no chunk grid: the result is the
+//! same at every worker count.
 
 use xai_core::{catch_model, validate, XaiError, XaiResult};
 use xai_data::Dataset;
 use xai_linalg::stats::quantile;
+use xai_linalg::Matrix;
 
 /// A partial-dependence result.
 #[derive(Clone, Debug)]
@@ -66,13 +73,16 @@ pub fn feature_grid(data: &Dataset, feature: usize, points: usize) -> Vec<f64> {
 }
 
 /// Computes PDP (and optionally ICE) for one feature over (a subsample
-/// of) the dataset.
+/// of) the dataset. All `rows × grid` probe rows are materialized as one
+/// matrix (row-major in `(instance, grid-point)` order) and evaluated in a
+/// single call of the batched `model` surface; the averages accumulate
+/// instance by instance, in row order.
 ///
 /// # Panics
 /// Panics when the model misbehaves; use [`try_partial_dependence`] for
 /// typed errors.
 pub fn partial_dependence(
-    model: &dyn Fn(&[f64]) -> f64,
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
     data: &Dataset,
     feature: usize,
     grid: &[f64],
@@ -82,22 +92,26 @@ pub fn partial_dependence(
     assert!(feature < data.n_features());
     assert!(!grid.is_empty());
     let rows = data.n_rows().min(max_rows.max(1));
+    let d = data.n_features();
+    let mut probes = Matrix::zeros(rows * grid.len(), d);
+    for i in 0..rows {
+        for (g, &v) in grid.iter().enumerate() {
+            let row = probes.row_mut(i * grid.len() + g);
+            row.copy_from_slice(data.row(i));
+            row[feature] = v;
+        }
+    }
+    let outs = model(&probes);
+    assert_eq!(outs.len(), rows * grid.len(), "model returned wrong arity");
     let mut pdp = vec![0.0; grid.len()];
     let mut ice = if keep_ice { Some(Vec::with_capacity(rows)) } else { None };
-    let mut probe = vec![0.0; data.n_features()];
     for i in 0..rows {
-        probe.copy_from_slice(data.row(i));
-        let mut curve = keep_ice.then(|| Vec::with_capacity(grid.len()));
-        for (g, &v) in grid.iter().enumerate() {
-            probe[feature] = v;
-            let out = model(&probe);
+        let block = &outs[i * grid.len()..(i + 1) * grid.len()];
+        for (g, &out) in block.iter().enumerate() {
             pdp[g] += out / rows as f64;
-            if let Some(c) = curve.as_mut() {
-                c.push(out);
-            }
         }
-        if let (Some(ice), Some(curve)) = (ice.as_mut(), curve) {
-            ice.push(curve);
+        if let Some(ice) = ice.as_mut() {
+            ice.push(block.to_vec());
         }
     }
     PartialDependence { grid: grid.to_vec(), pdp, ice, feature }
@@ -108,7 +122,7 @@ pub fn partial_dependence(
 /// non-finite outputs yields [`XaiError::ModelFault`]. The returned
 /// curves are guaranteed finite.
 pub fn try_partial_dependence(
-    model: &dyn Fn(&[f64]) -> f64,
+    model: &dyn Fn(&Matrix) -> Vec<f64>,
     data: &Dataset,
     feature: usize,
     grid: &[f64],
@@ -119,27 +133,6 @@ pub fn try_partial_dependence(
     validate::finite_matrix("PDP dataset", data.x())?;
     let pd = catch_model("PDP model evaluation", || {
         partial_dependence(model, data, feature, grid, max_rows, keep_ice)
-    })?;
-    check_curves(&pd)?;
-    Ok(pd)
-}
-
-/// Fallible twin of [`partial_dependence_batched`]; failure semantics as
-/// in [`try_partial_dependence`].
-#[deprecated(note = "superseded by the unified explainer layer: use PdpMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn try_partial_dependence_batched(
-    model: &dyn Fn(&xai_linalg::Matrix) -> Vec<f64>,
-    data: &Dataset,
-    feature: usize,
-    grid: &[f64],
-    max_rows: usize,
-    keep_ice: bool,
-) -> XaiResult<PartialDependence> {
-    validate::finite_slice("PDP grid", grid)?;
-    validate::finite_matrix("PDP dataset", data.x())?;
-    let pd = catch_model("PDP batched model evaluation", || {
-        partial_dependence_batched(model, data, feature, grid, max_rows, keep_ice)
     })?;
     check_curves(&pd)?;
     Ok(pd)
@@ -165,61 +158,16 @@ fn check_curves(pd: &PartialDependence) -> XaiResult<()> {
     Ok(())
 }
 
-/// PDP/ICE through a *batched* model surface: all `rows × grid` probe rows
-/// are materialized as one matrix (row-major in `(instance, grid-point)`
-/// order) and evaluated in a single model call. The accumulation loops run
-/// in the same order as [`partial_dependence`], so the result is
-/// bit-identical to it when the batched model matches the scalar one
-/// row-for-row.
-#[deprecated(note = "superseded by the unified explainer layer: use PdpMethod with a RunConfig (DESIGN.md §9)")]
-#[allow(deprecated)] // the twins forward to each other until removal
-pub fn partial_dependence_batched(
-    model: &dyn Fn(&xai_linalg::Matrix) -> Vec<f64>,
-    data: &Dataset,
-    feature: usize,
-    grid: &[f64],
-    max_rows: usize,
-    keep_ice: bool,
-) -> PartialDependence {
-    assert!(feature < data.n_features());
-    assert!(!grid.is_empty());
-    let rows = data.n_rows().min(max_rows.max(1));
-    let d = data.n_features();
-    let mut probes = xai_linalg::Matrix::zeros(rows * grid.len(), d);
-    for i in 0..rows {
-        for (g, &v) in grid.iter().enumerate() {
-            let row = probes.row_mut(i * grid.len() + g);
-            row.copy_from_slice(data.row(i));
-            row[feature] = v;
-        }
-    }
-    let outs = model(&probes);
-    assert_eq!(outs.len(), rows * grid.len(), "batched model returned wrong arity");
-    let mut pdp = vec![0.0; grid.len()];
-    let mut ice = if keep_ice { Some(Vec::with_capacity(rows)) } else { None };
-    for i in 0..rows {
-        let block = &outs[i * grid.len()..(i + 1) * grid.len()];
-        for (g, &out) in block.iter().enumerate() {
-            pdp[g] += out / rows as f64;
-        }
-        if let Some(ice) = ice.as_mut() {
-            ice.push(block.to_vec());
-        }
-    }
-    PartialDependence { grid: grid.to_vec(), pdp, ice, feature }
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the twins stay under test until removal
 mod tests {
     use super::*;
     use xai_data::synth::friedman1;
-    use xai_models::{Gbdt, GbdtConfig, GbdtLoss, Regressor};
+    use xai_models::{batch_from_scalar, Gbdt, GbdtConfig, GbdtLoss, Regressor};
 
     #[test]
     fn linear_model_has_linear_pdp() {
         let data = friedman1(300, 5, 0.1);
-        let model = |x: &[f64]| 10.0 * x[3] + 1.0;
+        let model = batch_from_scalar(|x: &[f64]| 10.0 * x[3] + 1.0);
         let grid = feature_grid(&data, 3, 5);
         let pd = partial_dependence(&model, &data, 3, &grid, 200, false);
         // PDP of a linear model is the line itself (offset by the average
@@ -238,7 +186,7 @@ mod tests {
             data.y(),
             GbdtConfig { n_rounds: 60, loss: GbdtLoss::Squared, ..GbdtConfig::default() },
         );
-        let f = |x: &[f64]| Regressor::predict_one(&gbdt, x);
+        let f = batch_from_scalar(|x: &[f64]| Regressor::predict_one(&gbdt, x));
         let relevant = partial_dependence(&f, &data, 3, &feature_grid(&data, 3, 8), 150, false);
         let noise = partial_dependence(&f, &data, 7, &feature_grid(&data, 7, 8), 150, false);
         assert!(
@@ -253,7 +201,9 @@ mod tests {
     fn ice_heterogeneity_detects_interactions() {
         let data = friedman1(400, 9, 0.1);
         // x0·x1 interaction vs purely additive x3.
-        let model = |x: &[f64]| 10.0 * (std::f64::consts::PI * x[0] * x[1]).sin() + 10.0 * x[3];
+        let model = batch_from_scalar(|x: &[f64]| {
+            10.0 * (std::f64::consts::PI * x[0] * x[1]).sin() + 10.0 * x[3]
+        });
         let pd_interacting =
             partial_dependence(&model, &data, 0, &feature_grid(&data, 0, 8), 150, true);
         let pd_additive =
@@ -269,7 +219,7 @@ mod tests {
     #[test]
     fn ice_curves_average_to_pdp() {
         let data = friedman1(200, 11, 0.1);
-        let model = |x: &[f64]| x[0] * x[4] + x[2];
+        let model = batch_from_scalar(|x: &[f64]| x[0] * x[4] + x[2]);
         let grid = feature_grid(&data, 4, 6);
         let pd = partial_dependence(&model, &data, 4, &grid, 100, true);
         let ice = pd.ice.as_ref().unwrap();
@@ -287,13 +237,13 @@ mod tests {
             data.y(),
             GbdtConfig { n_rounds: 25, loss: GbdtLoss::Squared, ..GbdtConfig::default() },
         );
-        let f = |x: &[f64]| Regressor::predict_one(&gbdt, x);
+        let f = batch_from_scalar(|x: &[f64]| Regressor::predict_one(&gbdt, x));
         let bf = xai_models::batch_regress_fn(&gbdt);
         for keep_ice in [false, true] {
             for feature in [0, 3] {
                 let grid = feature_grid(&data, feature, 7);
                 let scalar = partial_dependence(&f, &data, feature, &grid, 80, keep_ice);
-                let batched = partial_dependence_batched(&bf, &data, feature, &grid, 80, keep_ice);
+                let batched = partial_dependence(&bf, &data, feature, &grid, 80, keep_ice);
                 assert_eq!(scalar.pdp, batched.pdp);
                 assert_eq!(scalar.ice, batched.ice);
                 assert_eq!(scalar.grid, batched.grid);

@@ -58,7 +58,8 @@ pub(crate) fn candidate_row(
     config: LimeConfig,
     seed: u64,
 ) -> XaiResult<Vec<f64>> {
-    let exp = explainer.try_explain(model, data.row(i), config, seed.wrapping_add(i as u64))?;
+    let surface = xai_models::batch_from_scalar(model);
+    let exp = explainer.try_explain(&surface, data.row(i), config, seed.wrapping_add(i as u64))?;
     Ok(exp.attribution.values)
 }
 

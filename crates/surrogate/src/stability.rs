@@ -59,10 +59,11 @@ pub fn lime_stability(
 ) -> LimeStability {
     assert!(runs >= 2, "stability needs at least two runs");
     let k = k.max(1).min(explainer.n_features());
+    let surface = xai_models::batch_from_scalar(model);
     let coefs: Vec<Vec<f64>> = (0..runs)
         .map(|r| {
             explainer
-                .explain(model, instance, config, base_seed.wrapping_add(r as u64 * 7919))
+                .explain(&surface, instance, config, base_seed.wrapping_add(r as u64 * 7919))
                 .attribution
                 .values
         })

@@ -23,6 +23,7 @@ fn main() {
     let (train, test) = data.train_test_split(0.3, 1);
     let model = Gbdt::fit(train.x(), train.y(), GbdtConfig { n_rounds: 80, ..GbdtConfig::default() });
     let f = proba_fn(&model);
+    let fb = xai::models::batch_proba_fn(&model);
     let names = data.schema().names();
     let acc = xai::data::metrics::accuracy(test.y(), &Classifier::predict(&model, test.x()));
     let auc = xai::data::metrics::auc_roc(test.y(), &model.proba(test.x()));
@@ -52,7 +53,7 @@ fn main() {
     println!("\npartial dependence (range = effect size; ICE σ = interaction signal):");
     for &j in shap.ranking().iter().take(4) {
         let grid = feature_grid(&test, j, 9);
-        let pd = partial_dependence(&f, &test, j, &grid, 200, true);
+        let pd = partial_dependence(&fb, &test, j, &grid, 200, true);
         println!(
             "  {:>18}: PDP range {:.3}, ICE heterogeneity {:.3}",
             names[j],

@@ -76,8 +76,8 @@ fn main() {
             .expect("a rejected applicant exists")
             .to_vec()
     };
-    // One execution plan serves every method: seed, worker count and the
-    // batched switch replace the per-method twin functions.
+    // One execution plan serves every method: the worker count picks the
+    // sequential or chunk-grid core, the batched switch the model surface.
     let plan = RunConfig::seeded(7).with_workers(2).with_batched(true);
     let utility = xai::datavalue::KnnUtility::new(&data, &data, 5);
     let req = ExplainRequest::new(&data)

@@ -140,14 +140,6 @@ if [ -n "$VIOLATIONS" ]; then
     exit 1
 fi
 
-# Advisory deprecation audit: the legacy batched/parallel twins are
-# deprecated in favour of the unified explainer layer (DESIGN.md §9).
-# The blessed call sites opt back in with #[allow(deprecated)], so any
-# warning here is a *new* caller reaching for a twin. Advisory only.
-echo "==> cargo check --workspace --all-targets (deprecation audit, warnings only)"
-RUSTFLAGS="-W deprecated" cargo check -q --workspace --all-targets \
-    || echo "ci.sh: deprecation audit reported issues (advisory only)"
-
 # Advisory unwrap/expect audit over the library crates' non-test code.
 # Warnings only, never a gate: the panicking convenience APIs are
 # intentional `.expect` wrappers over their `try_*` twins (DESIGN.md §8),

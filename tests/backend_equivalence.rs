@@ -55,38 +55,51 @@ fn fixture(rows: usize, seed: u64) -> (Dataset, LogisticRegression) {
     (data, model)
 }
 
+/// Both `RunConfig::batched` settings: `batched` picks only the model
+/// surface coalitions and probes are evaluated on, never the bytes.
+const BOTH: &[bool] = &[false, true];
+/// The scalar plan only.
+const SCALAR: &[bool] = &[false];
+
 /// The core assertion: all three backends produce the same bytes as the
-/// direct `Explainer::explain` run, at every shard count, without
-/// degrading.
+/// direct `Explainer::explain` run, at every shard count and for every
+/// `batched` setting in `batched`, without degrading.
 fn assert_backend_equivalence(
     method: &dyn ShardableExplainer,
     model: &LogisticRegression,
     req: &ExplainRequest<'_>,
+    batched: &[bool],
     label: &str,
 ) {
-    let reference = method
-        .explain(model, req)
-        .unwrap_or_else(|e| panic!("{label}: direct explain failed: {e:?}"))
-        .to_json_string();
     let daemons = spawn_daemons(2);
     let local = LocalBackend;
     let pool = ProcessPoolBackend::new(PoolConfig::new(worker_exe()));
     let cluster = ClusterBackend::from_config(cluster_config(&daemons)).expect("cluster backend");
     let backends: [&dyn ExecutionBackend; 3] = [&local, &pool, &cluster];
-    for backend in backends {
-        let name = backend.kind().as_str();
-        for n_shards in SHARD_COUNTS {
-            let job =
-                BackendJob::new(method, model, req, n_shards).with_model_json(model.save());
-            let outcome = backend
-                .execute(&job)
-                .unwrap_or_else(|e| panic!("{label}: {name} n_shards={n_shards} failed: {e:?}"));
-            assert!(!outcome.degraded, "{label}: {name} degraded at n_shards={n_shards}");
-            assert_eq!(
-                outcome.explanation.to_json_string(),
-                reference,
-                "{label}: {name} diverged at n_shards={n_shards}"
-            );
+    for &b in batched {
+        let req = req.plan(req.plan.with_batched(b));
+        let reference = method
+            .explain(model, &req)
+            .unwrap_or_else(|e| panic!("{label}: direct explain failed (batched={b}): {e:?}"))
+            .to_json_string();
+        for backend in backends {
+            let name = backend.kind().as_str();
+            for n_shards in SHARD_COUNTS {
+                let job =
+                    BackendJob::new(method, model, &req, n_shards).with_model_json(model.save());
+                let outcome = backend.execute(&job).unwrap_or_else(|e| {
+                    panic!("{label}: {name} n_shards={n_shards} batched={b} failed: {e:?}")
+                });
+                assert!(
+                    !outcome.degraded,
+                    "{label}: {name} degraded at n_shards={n_shards} batched={b}"
+                );
+                assert_eq!(
+                    outcome.explanation.to_json_string(),
+                    reference,
+                    "{label}: {name} diverged at n_shards={n_shards} batched={b}"
+                );
+            }
         }
     }
 }
@@ -101,7 +114,7 @@ fn kernel_shap_runs_on_every_backend() {
     let sampled = KernelShapMethod {
         config: KernelShapConfig { max_coalitions: 64, ..KernelShapConfig::default() },
     };
-    assert_backend_equivalence(&sampled, &model, &req, "kernel SHAP (sampled)");
+    assert_backend_equivalence(&sampled, &model, &req, BOTH, "kernel SHAP (sampled)");
 }
 
 #[test]
@@ -112,7 +125,7 @@ fn permutation_shapley_runs_on_every_backend() {
         .instance(&row)
         .plan(RunConfig::seeded(23).with_workers(2));
     let method = PermutationShapleyMethod { permutations: 40 };
-    assert_backend_equivalence(&method, &model, &req, "permutation Shapley");
+    assert_backend_equivalence(&method, &model, &req, BOTH, "permutation Shapley");
 }
 
 #[test]
@@ -123,7 +136,7 @@ fn lime_runs_on_every_backend() {
         .instance(&row)
         .plan(RunConfig::seeded(31).with_workers(2));
     let method = LimeMethod { config: LimeConfig { n_samples: 96, ..LimeConfig::default() } };
-    assert_backend_equivalence(&method, &model, &req, "LIME");
+    assert_backend_equivalence(&method, &model, &req, BOTH, "LIME");
 }
 
 #[test]
@@ -135,7 +148,7 @@ fn sp_lime_runs_on_every_backend() {
         picks: 3,
         config: LimeConfig { n_samples: 64, ..LimeConfig::default() },
     };
-    assert_backend_equivalence(&method, &model, &req, "SP-LIME");
+    assert_backend_equivalence(&method, &model, &req, SCALAR, "SP-LIME");
 }
 
 #[test]
@@ -153,7 +166,7 @@ fn anchors_runs_on_every_backend() {
         },
         pool: 4,
     };
-    assert_backend_equivalence(&method, &model, &req, "Anchors");
+    assert_backend_equivalence(&method, &model, &req, BOTH, "Anchors");
 }
 
 #[test]
@@ -166,14 +179,14 @@ fn dice_runs_on_every_backend() {
     let method = DiceMethod {
         config: DiceConfig { k: 2, iterations: 60, restarts: 2, ..DiceConfig::default() },
     };
-    assert_backend_equivalence(&method, &model, &req, "DiCE");
+    assert_backend_equivalence(&method, &model, &req, BOTH, "DiCE");
 }
 
 #[test]
 fn leave_one_out_runs_on_every_backend() {
     let (data, model) = fixture(20, 21);
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
-    assert_backend_equivalence(&LooMethod, &model, &req, "leave-one-out");
+    assert_backend_equivalence(&LooMethod, &model, &req, SCALAR, "leave-one-out");
 }
 
 #[test]
@@ -181,7 +194,7 @@ fn tmc_data_shapley_runs_on_every_backend() {
     let (data, model) = fixture(10, 22);
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
     let method = TmcMethod { config: TmcConfig { permutations: 20, ..TmcConfig::default() } };
-    assert_backend_equivalence(&method, &model, &req, "TMC data Shapley");
+    assert_backend_equivalence(&method, &model, &req, SCALAR, "TMC data Shapley");
 }
 
 #[test]
@@ -189,7 +202,7 @@ fn data_banzhaf_runs_on_every_backend() {
     let (data, model) = fixture(10, 24);
     let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
     let method = BanzhafMethod { config: BanzhafConfig { samples_per_point: 6, seed: 0 } };
-    assert_backend_equivalence(&method, &model, &req, "data Banzhaf");
+    assert_backend_equivalence(&method, &model, &req, SCALAR, "data Banzhaf");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,21 +1,19 @@
 //! Batched-path equivalence harness.
 //!
-//! The batched inference path (`predict_batch` → `BatchPredictionGame` /
-//! `explain_batched` / `partial_dependence_batched`) is a *performance*
-//! feature: it must change wall-clock time and nothing else. This suite
-//! pins that contract for every model family × Monte-Carlo explainer
-//! pair — the batched estimate is **bit-identical** to the scalar one at
-//! the same seed and at every worker count, with and without the
-//! coalition memo cache.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
+//! The batched inference path (`predict_batch` → `BatchPredictionGame`,
+//! or a batched surface handed to LIME / PDP) is a *performance* feature:
+//! it must change wall-clock time and nothing else. Each estimator has one
+//! sequential core and one chunk-grid core, and this suite runs both over
+//! the scalar and the batched game (or surface) for every model family ×
+//! Monte-Carlo explainer pair — the estimate is **bit-identical** at the
+//! same seed and at every worker count, with and without the coalition
+//! memo cache.
 
 use xai_data::synth::german_credit;
 use xai_data::Dataset;
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_parallel, tmc_shapley, tmc_shapley_parallel, BanzhafConfig,
-    CachedUtility, FnUtility, TmcConfig,
+    data_banzhaf, tmc_shapley, try_data_banzhaf_parallel, try_tmc_shapley_parallel,
+    BanzhafConfig, CachedUtility, FnUtility, TmcConfig,
 };
 use xai_linalg::Matrix;
 use xai_models::{
@@ -24,14 +22,10 @@ use xai_models::{
     LogisticConfig, LogisticRegression, Mlp, MlpConfig, MlpTask, RandomForest, TreeConfig,
 };
 use xai_shapley::{
-    kernel_shap, kernel_shap_batched, kernel_shap_batched_parallel, kernel_shap_parallel,
-    permutation_shapley, permutation_shapley_batched, permutation_shapley_batched_parallel,
-    permutation_shapley_parallel, BatchPredictionGame, CachedGame, KernelShapConfig,
-    PredictionGame,
+    kernel_shap, permutation_shapley, try_kernel_shap_grid, try_permutation_shapley_grid,
+    BatchPredictionGame, CachedGame, KernelShapConfig, PredictionGame,
 };
-use xai_surrogate::{
-    feature_grid, partial_dependence, partial_dependence_batched, LimeConfig, LimeExplainer,
-};
+use xai_surrogate::{feature_grid, partial_dependence, LimeConfig, LimeExplainer};
 
 fn credit() -> Dataset {
     german_credit(90, 5)
@@ -43,8 +37,8 @@ fn background(data: &Dataset) -> Matrix {
 
 /// Runs every Shapley Monte-Carlo estimator against one model through the
 /// scalar and the batched game and demands bitwise equality: sequential
-/// and parallel, exact and sampling kernel modes, with and without the
-/// coalition memo cache, across worker counts.
+/// and chunk-grid cores, exact and sampling kernel modes, with and without
+/// the coalition memo cache, across worker counts.
 fn assert_explainers_bit_identical<F, B>(name: &str, f: &F, bf: &B, instance: &[f64], bg: &Matrix)
 where
     F: Fn(&[f64]) -> f64 + Sync,
@@ -60,14 +54,14 @@ where
         KernelShapConfig { max_coalitions: 48, seed: 3, ..KernelShapConfig::default() },
     ] {
         let a = kernel_shap(&scalar_game, cfg);
-        let b = kernel_shap_batched(&batch_game, cfg);
+        let b = kernel_shap(&batch_game, cfg);
         assert_eq!(a.phi, b.phi, "{name}: batched kernel SHAP diverged");
         assert_eq!(a.base_value, b.base_value, "{name}: base value diverged");
-        let c = kernel_shap_batched(&cached, cfg);
+        let c = kernel_shap(&cached, cfg);
         assert_eq!(a.phi, c.phi, "{name}: cached kernel SHAP diverged");
-        let reference = kernel_shap_parallel(&scalar_game, cfg, 1);
+        let reference = try_kernel_shap_grid(&scalar_game, cfg, 1).unwrap();
         for workers in [1, 2, 4] {
-            let p = kernel_shap_batched_parallel(&batch_game, cfg, workers);
+            let p = try_kernel_shap_grid(&batch_game, cfg, workers).unwrap();
             assert_eq!(
                 reference.phi, p.phi,
                 "{name}: parallel batched kernel SHAP diverged at {workers} workers"
@@ -75,16 +69,16 @@ where
         }
     }
 
-    // Permutation Shapley, sequential and parallel.
+    // Permutation Shapley, sequential and chunk grid.
     let a = permutation_shapley(&scalar_game, 20, 7);
-    let b = permutation_shapley_batched(&batch_game, 20, 7);
+    let b = permutation_shapley(&batch_game, 20, 7);
     assert_eq!(a.phi, b.phi, "{name}: batched permutation Shapley diverged");
     assert_eq!(a.std_err, b.std_err, "{name}: std_err diverged");
-    let c = permutation_shapley_batched(&cached, 20, 7);
+    let c = permutation_shapley(&cached, 20, 7);
     assert_eq!(a.phi, c.phi, "{name}: cached permutation Shapley diverged");
-    let reference = permutation_shapley_parallel(&scalar_game, 24, 7, 1);
+    let reference = try_permutation_shapley_grid(&scalar_game, 24, 7, 1).unwrap();
     for workers in [1, 2, 4] {
-        let p = permutation_shapley_batched_parallel(&batch_game, 24, 7, workers);
+        let p = try_permutation_shapley_grid(&batch_game, 24, 7, workers).unwrap();
         assert_eq!(
             reference.phi, p.phi,
             "{name}: parallel batched permutation Shapley diverged at {workers} workers"
@@ -98,23 +92,33 @@ where
 }
 
 /// LIME and PDP through the batched model surface, bit-identical to the
-/// scalar loops.
+/// scalar loop over rows (`batch_from_scalar`), for LIME's sequential and
+/// chunk-grid cores alike.
 fn assert_surrogates_bit_identical<F, B>(name: &str, f: &F, bf: &B, data: &Dataset)
 where
-    F: Fn(&[f64]) -> f64,
-    B: Fn(&Matrix) -> Vec<f64>,
+    F: Fn(&[f64]) -> f64 + Sync,
+    B: Fn(&Matrix) -> Vec<f64> + Sync,
 {
+    let sf = batch_from_scalar(f);
     let lime = LimeExplainer::fit(data);
     let cfg = LimeConfig { n_samples: 120, ..LimeConfig::default() };
-    let a = lime.explain(f, data.row(4), cfg, 13);
-    let b = lime.explain_batched(bf, data.row(4), cfg, 13);
+    let a = lime.explain(&sf, data.row(4), cfg, 13);
+    let b = lime.explain(bf, data.row(4), cfg, 13);
     assert_eq!(a.attribution.values, b.attribution.values, "{name}: batched LIME diverged");
     assert_eq!(a.attribution.prediction, b.attribution.prediction, "{name}: LIME prediction");
     assert_eq!(a.local_fidelity, b.local_fidelity, "{name}: LIME fidelity diverged");
+    let reference = lime.try_explain_grid(&sf, data.row(4), cfg, 13, 1).unwrap();
+    for workers in [1, 2, 4] {
+        let g = lime.try_explain_grid(bf, data.row(4), cfg, 13, workers).unwrap();
+        assert_eq!(
+            reference.attribution.values, g.attribution.values,
+            "{name}: grid LIME diverged at {workers} workers"
+        );
+    }
 
     let grid = feature_grid(data, 1, 5);
-    let pa = partial_dependence(f, data, 1, &grid, 40, true);
-    let pb = partial_dependence_batched(bf, data, 1, &grid, 40, true);
+    let pa = partial_dependence(&sf, data, 1, &grid, 40, true);
+    let pb = partial_dependence(bf, data, 1, &grid, 40, true);
     assert_eq!(pa.pdp, pb.pdp, "{name}: batched PDP diverged");
     assert_eq!(pa.ice, pb.ice, "{name}: batched ICE diverged");
 }
@@ -232,10 +236,10 @@ fn cached_utility_preserves_tmc_and_banzhaf_bits() {
 
     // Parallel estimators accept the cached wrapper too (Mutex ⇒ Sync) and
     // stay worker-invariant.
-    let p1 = tmc_shapley_parallel(&cached, tmc_cfg, 1);
-    let p4 = tmc_shapley_parallel(&cached, tmc_cfg, 4);
+    let p1 = try_tmc_shapley_parallel(&cached, tmc_cfg, 1).unwrap();
+    let p4 = try_tmc_shapley_parallel(&cached, tmc_cfg, 4).unwrap();
     assert_eq!(p1.values, p4.values, "parallel TMC not worker-invariant under memo");
-    let b1 = data_banzhaf_parallel(&cached, bz_cfg, 1);
-    let b4 = data_banzhaf_parallel(&cached, bz_cfg, 4);
+    let b1 = try_data_banzhaf_parallel(&cached, bz_cfg, 1).unwrap();
+    let b4 = try_data_banzhaf_parallel(&cached, bz_cfg, 4).unwrap();
     assert_eq!(b1.values, b4.values, "parallel Banzhaf not worker-invariant under memo");
 }

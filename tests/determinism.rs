@@ -6,19 +6,16 @@
 //! output is also independent of the worker count, because work is split
 //! into a fixed chunk grid with `child_seed`-derived streams and reduced
 //! in chunk order (see `xai_rand::parallel`).
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
-use xai_counterfactual::{geco, geco_parallel, DiceConfig, DiceExplainer, GecoConfig, Plaf};
+use xai_counterfactual::{geco, try_geco_parallel, DiceConfig, DiceExplainer, GecoConfig, Plaf};
 use xai_data::synth::german_credit;
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_parallel, tmc_shapley, tmc_shapley_parallel, BanzhafConfig,
-    FnUtility, TmcConfig,
+    data_banzhaf, tmc_shapley, try_data_banzhaf_parallel, try_tmc_shapley_parallel,
+    BanzhafConfig, FnUtility, TmcConfig,
 };
 use xai_models::{proba_fn, LogisticConfig, LogisticRegression};
 use xai_shapley::{
-    kernel_shap, kernel_shap_parallel, permutation_shapley, permutation_shapley_parallel,
+    kernel_shap, permutation_shapley, try_kernel_shap_grid, try_permutation_shapley_grid,
     KernelShapConfig, PredictionGame, TableGame,
 };
 
@@ -49,8 +46,8 @@ fn parallel_shapley_estimators_are_worker_count_invariant() {
     let instance: Vec<f64> = data.row(11).to_vec();
     let game = PredictionGame::new(&f, &instance, &background);
 
-    let p1 = permutation_shapley_parallel(&game, 80, 5, 1);
-    let p4 = permutation_shapley_parallel(&game, 80, 5, 4);
+    let p1 = try_permutation_shapley_grid(&game, 80, 5, 1).unwrap();
+    let p4 = try_permutation_shapley_grid(&game, 80, 5, 4).unwrap();
     assert_eq!(p1.phi, p4.phi, "permutation sampling must not depend on workers");
     assert_eq!(p1.std_err, p4.std_err);
 
@@ -59,8 +56,8 @@ fn parallel_shapley_estimators_are_worker_count_invariant() {
         (0..1usize << 12).map(|m| (m.count_ones() as f64).sqrt()).collect(),
     );
     let cfg = KernelShapConfig { max_coalitions: 256, ..Default::default() };
-    let k1 = kernel_shap_parallel(&big, cfg, 1);
-    let k4 = kernel_shap_parallel(&big, cfg, 4);
+    let k1 = try_kernel_shap_grid(&big, cfg, 1).unwrap();
+    let k4 = try_kernel_shap_grid(&big, cfg, 4).unwrap();
     assert!(!k1.exact, "budget forces sampling mode");
     assert_eq!(k1.phi, k4.phi, "kernel SHAP sampling must not depend on workers");
 }
@@ -97,13 +94,13 @@ fn data_shapley_and_banzhaf_are_seed_stable() {
 fn parallel_valuation_is_worker_count_invariant() {
     let u = utility();
     let cfg = TmcConfig { permutations: 48, truncation_tolerance: 0.0, seed: 17 };
-    let t1 = tmc_shapley_parallel(&u, cfg, 1);
-    let t4 = tmc_shapley_parallel(&u, cfg, 4);
+    let t1 = try_tmc_shapley_parallel(&u, cfg, 1).unwrap();
+    let t4 = try_tmc_shapley_parallel(&u, cfg, 4).unwrap();
     assert_eq!(t1.values, t4.values, "TMC Shapley must not depend on workers");
 
     let bcfg = BanzhafConfig { samples_per_point: 40, seed: 17 };
-    let b1 = data_banzhaf_parallel(&u, bcfg, 1);
-    let b4 = data_banzhaf_parallel(&u, bcfg, 4);
+    let b1 = try_data_banzhaf_parallel(&u, bcfg, 1).unwrap();
+    let b4 = try_data_banzhaf_parallel(&u, bcfg, 4).unwrap();
     assert_eq!(b1.values, b4.values, "Banzhaf must not depend on workers");
 }
 
@@ -124,11 +121,11 @@ fn geco_is_seed_stable_and_parallel_geco_worker_invariant() {
         "same seed, same counterfactual"
     );
 
-    let p1 = geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 1);
-    let p4 = geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 4);
+    let p1 = try_geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 1);
+    let p4 = try_geco_parallel(&f, &data, instance, &plaf, config, 31, 3, 4);
     assert_eq!(
-        p1.map(|c| c.counterfactual),
-        p4.map(|c| c.counterfactual),
+        p1.ok().map(|c| c.counterfactual),
+        p4.ok().map(|c| c.counterfactual),
         "multi-start GeCo must not depend on workers"
     );
 }
@@ -141,13 +138,14 @@ fn dice_parallel_restarts_are_worker_count_invariant() {
     let dice = DiceExplainer::fit(&data);
     let config = DiceConfig { k: 2, iterations: 60, restarts: 3, ..DiceConfig::default() };
 
-    let w1 = dice.generate_parallel(&f, data.row(5), config, 41, 1);
-    let w4 = dice.generate_parallel(&f, data.row(5), config, 41, 4);
+    // The pooled search is DiCE's parallel grid (what `workers > 1` runs).
+    let w1 = dice.try_generate_pool(&f, data.row(5), config, 41, 1).unwrap();
+    let w4 = dice.try_generate_pool(&f, data.row(5), config, 41, 4).unwrap();
     let rows = |cfs: &[xai_core::Counterfactual]| -> Vec<Vec<f64>> {
         cfs.iter().map(|c| c.counterfactual.clone()).collect()
     };
     assert_eq!(rows(&w1), rows(&w4), "DiCE restarts must not depend on workers");
 
-    let again = dice.generate_parallel(&f, data.row(5), config, 41, 4);
+    let again = dice.try_generate_pool(&f, data.row(5), config, 41, 4).unwrap();
     assert_eq!(rows(&w4), rows(&again), "same seed, same counterfactual set");
 }

@@ -22,7 +22,7 @@ fn model_is_worth_explaining() {
 fn treeshap_and_lime_tell_a_consistent_story() {
     let (train, model, test) = credit();
     let names = train.schema().names();
-    let f = proba_fn(&model);
+    let f = xai::models::batch_proba_fn(&model);
     let lime = LimeExplainer::fit(&train);
     let mut agreements = 0usize;
     let rows = 8;

@@ -7,11 +7,8 @@
 //! each entry point returns the *right* [`XaiError`] variant (or an `Ok`
 //! result flagged `degraded`) instead of panicking or leaking NaN. The
 //! final section pins the determinism contract: on fault-free inputs the
-//! `try_*` parallel paths are bit-identical to their panicking twins for
-//! every worker count.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
+//! `try_*` chunk-grid paths are worker-count invariant and the `try_*`
+//! sequential paths are bit-identical to their panicking wrappers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,24 +21,19 @@ use xai::counterfactual::{
 use xai::data::synth::linear_gaussian;
 use xai::data::Dataset;
 use xai::datavalue::{
-    data_banzhaf_parallel, leave_one_out_parallel, tmc_shapley_parallel, try_data_banzhaf,
-    try_data_banzhaf_parallel, try_leave_one_out, try_leave_one_out_parallel, try_tmc_shapley,
-    try_tmc_shapley_budgeted, try_tmc_shapley_parallel, BanzhafConfig, FnUtility, TmcConfig,
+    leave_one_out, try_data_banzhaf, try_data_banzhaf_parallel, try_leave_one_out,
+    try_leave_one_out_parallel, try_tmc_shapley, try_tmc_shapley_budgeted,
+    try_tmc_shapley_parallel, BanzhafConfig, FnUtility, TmcConfig,
 };
 use xai::linalg::Matrix;
-use xai::models::{LogisticConfig, LogisticRegression, Mlp, MlpConfig};
+use xai::models::{batch_from_scalar, LogisticConfig, LogisticRegression, Mlp, MlpConfig};
 use xai::shapley::{
-    kernel_shap, kernel_shap_parallel, permutation_shapley, permutation_shapley_parallel,
-    try_antithetic_permutation_shapley, try_kernel_shap, try_kernel_shap_attribution,
-    try_kernel_shap_batched, try_kernel_shap_batched_parallel, try_kernel_shap_parallel,
-    try_permutation_shapley, try_permutation_shapley_batched,
-    try_permutation_shapley_batched_parallel, try_permutation_shapley_budgeted,
-    try_permutation_shapley_parallel, BatchGame, CooperativeGame, KernelShapConfig,
+    kernel_shap, permutation_shapley, try_antithetic_permutation_shapley, try_kernel_shap,
+    try_kernel_shap_attribution, try_kernel_shap_grid, try_permutation_shapley,
+    try_permutation_shapley_budgeted, try_permutation_shapley_grid, CooperativeGame,
+    KernelShapConfig,
 };
-use xai::surrogate::{
-    partial_dependence, try_partial_dependence, try_partial_dependence_batched, LimeConfig,
-    LimeExplainer,
-};
+use xai::surrogate::{partial_dependence, try_partial_dependence, LimeConfig, LimeExplainer};
 use xai_rand::parallel::{par_map_seeded, try_par_map_seeded};
 
 // ---------------------------------------------------------------------------
@@ -100,8 +92,6 @@ impl CooperativeGame for FaultyGame {
         }
     }
 }
-
-impl BatchGame for FaultyGame {}
 
 /// A small two-feature dataset shared by the model-level fixtures.
 fn fixture_data() -> Dataset {
@@ -175,23 +165,13 @@ fn kernel_shap_panicking_game_is_caught_sequentially() {
     let err = try_kernel_shap(&game, KernelShapConfig::default()).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
     assert!(err.to_string().contains("injected game fault"), "{err}");
-
-    let game = FaultyGame::new(4, Fault::PanicAt(5));
-    let err = try_kernel_shap_batched(&game, KernelShapConfig::default()).unwrap_err();
-    assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
 
 #[test]
 fn parallel_kernel_shap_panic_is_a_worker_panic() {
     for workers in [1, 2, 4] {
         let game = FaultyGame::new(5, Fault::PanicAt(7));
-        let err =
-            try_kernel_shap_parallel(&game, KernelShapConfig::default(), workers).unwrap_err();
-        assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
-
-        let game = FaultyGame::new(5, Fault::PanicAt(7));
-        let err = try_kernel_shap_batched_parallel(&game, KernelShapConfig::default(), workers)
-            .unwrap_err();
+        let err = try_kernel_shap_grid(&game, KernelShapConfig::default(), workers).unwrap_err();
         assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
     }
 }
@@ -200,7 +180,7 @@ fn parallel_kernel_shap_panic_is_a_worker_panic() {
 fn parallel_kernel_shap_nan_is_a_model_fault_not_a_worker_panic() {
     // NaN values inside worker chunks must keep their ModelFault identity.
     let game = FaultyGame::new(5, Fault::NanAfter(9));
-    let err = try_kernel_shap_parallel(&game, KernelShapConfig::default(), 3).unwrap_err();
+    let err = try_kernel_shap_grid(&game, KernelShapConfig::default(), 3).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
 
@@ -282,10 +262,6 @@ fn permutation_shapley_nan_game_is_a_model_fault() {
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let game = FaultyGame::new(4, Fault::NanAfter(3));
-    let err = try_permutation_shapley_batched(&game, 8, 0).unwrap_err();
-    assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
-
-    let game = FaultyGame::new(4, Fault::NanAfter(3));
     let err = try_antithetic_permutation_shapley(&game, 8, 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
@@ -301,16 +277,12 @@ fn permutation_shapley_panicking_game_is_caught_sequentially() {
 fn parallel_permutation_shapley_separates_panics_from_nan() {
     for workers in [1, 2, 4] {
         let game = FaultyGame::new(4, Fault::PanicAt(6));
-        let err = try_permutation_shapley_parallel(&game, 16, 0, workers).unwrap_err();
+        let err = try_permutation_shapley_grid(&game, 16, 0, workers).unwrap_err();
         assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
 
         let game = FaultyGame::new(4, Fault::NanAfter(6));
-        let err = try_permutation_shapley_parallel(&game, 16, 0, workers).unwrap_err();
+        let err = try_permutation_shapley_grid(&game, 16, 0, workers).unwrap_err();
         assert!(matches!(err, XaiError::ModelFault { .. }), "workers={workers}: {err}");
-
-        let game = FaultyGame::new(4, Fault::PanicAt(6));
-        let err = try_permutation_shapley_batched_parallel(&game, 16, 0, workers).unwrap_err();
-        assert!(matches!(err, XaiError::WorkerPanic { .. }), "workers={workers}: {err}");
     }
 }
 
@@ -347,7 +319,7 @@ fn permutation_budget_expiring_before_first_walk_is_an_error() {
 fn lime_rejects_non_finite_instances_up_front() {
     let data = fixture_data();
     let explainer = LimeExplainer::fit(&data);
-    let model = |x: &[f64]| clean_model(x);
+    let model = batch_from_scalar(clean_model);
     let err = explainer
         .try_explain(&model, &[1.0, f64::INFINITY], LimeConfig::default(), 0)
         .unwrap_err();
@@ -360,24 +332,23 @@ fn lime_model_faults_are_typed() {
     let explainer = LimeExplainer::fit(&data);
     let instance = data.row(0);
 
-    let nan_model = |_x: &[f64]| f64::NAN;
+    let nan_model = batch_from_scalar(|_x: &[f64]| f64::NAN);
     let err = explainer.try_explain(&nan_model, instance, LimeConfig::default(), 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let calls = AtomicUsize::new(0);
-    let panic_model = |x: &[f64]| {
+    let panic_model = batch_from_scalar(|x: &[f64]| {
         if calls.fetch_add(1, Ordering::Relaxed) == 17 {
             panic!("injected LIME model fault");
         }
         clean_model(x)
-    };
+    });
     let err = explainer.try_explain(&panic_model, instance, LimeConfig::default(), 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     // A batched model returning the wrong arity is also a model fault.
     let short_model = |_m: &Matrix| vec![0.5; 3];
-    let err =
-        explainer.try_explain_batched(&short_model, instance, LimeConfig::default(), 0).unwrap_err();
+    let err = explainer.try_explain(&short_model, instance, LimeConfig::default(), 0).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 }
 
@@ -388,7 +359,7 @@ fn lime_ridge_escalation_flags_degraded() {
     // ladder must recover the solve.
     let data = fixture_data();
     let explainer = LimeExplainer::fit(&data);
-    let model = |x: &[f64]| clean_model(x);
+    let model = batch_from_scalar(clean_model);
     let config = LimeConfig {
         n_samples: 64,
         kernel_width: Some(1e-300),
@@ -404,7 +375,7 @@ fn lime_ridge_escalation_flags_degraded() {
 fn clean_lime_try_twin_matches_and_is_not_degraded() {
     let data = fixture_data();
     let explainer = LimeExplainer::fit(&data);
-    let model = |x: &[f64]| clean_model(x);
+    let model = batch_from_scalar(clean_model);
     let plain = explainer.explain(&model, data.row(0), LimeConfig::default(), 3);
     let tried = explainer.try_explain(&model, data.row(0), LimeConfig::default(), 3).unwrap();
     assert_eq!(plain.attribution.values, tried.attribution.values);
@@ -414,18 +385,17 @@ fn clean_lime_try_twin_matches_and_is_not_degraded() {
 #[test]
 fn pdp_validates_inputs_and_types_model_faults() {
     let data = fixture_data();
-    let model = |x: &[f64]| clean_model(x);
+    let model = batch_from_scalar(clean_model);
 
     let err = try_partial_dependence(&model, &data, 0, &[0.0, f64::NAN], 40, false).unwrap_err();
     assert!(matches!(err, XaiError::NonFiniteInput { .. }), "{err}");
 
-    let nan_model = |_x: &[f64]| f64::NAN;
+    let nan_model = batch_from_scalar(|_x: &[f64]| f64::NAN);
     let err = try_partial_dependence(&nan_model, &data, 0, &[0.0, 1.0], 40, false).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     let panic_model = |_m: &Matrix| -> Vec<f64> { panic!("injected PDP model fault") };
-    let err =
-        try_partial_dependence_batched(&panic_model, &data, 0, &[0.0, 1.0], 40, true).unwrap_err();
+    let err = try_partial_dependence(&panic_model, &data, 0, &[0.0, 1.0], 40, true).unwrap_err();
     assert!(matches!(err, XaiError::ModelFault { .. }), "{err}");
 
     // Clean twin agreement.
@@ -509,7 +479,7 @@ fn dice_certifies_its_search() {
     let cfs = explainer.try_generate(&model, instance, config, 0).unwrap();
     assert!(!cfs.is_empty());
     assert!(cfs.iter().all(|c| c.counterfactual.iter().all(|v| v.is_finite())));
-    let par = explainer.try_generate_parallel(&model, instance, config, 0, 2).unwrap();
+    let par = explainer.try_generate_pool(&model, instance, config, 0, 2).unwrap();
     assert!(!par.is_empty());
 }
 
@@ -542,11 +512,12 @@ fn loo_typed_errors_and_parallel_bit_identity() {
     let err = try_leave_one_out_parallel(&panic_u, 2).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
-    // Fault-free: the try twin is bit-identical across worker counts.
+    // Fault-free: the parallel grid is bit-identical to the sequential
+    // sweep at every worker count.
     let u = FnUtility::new(20, |s: &[usize]| {
         s.iter().map(|&i| ((i * i) as f64).sqrt()).sum::<f64>().sin()
     });
-    let plain = leave_one_out_parallel(&u, 1);
+    let plain = leave_one_out(&u);
     for workers in [1, 2, 4] {
         let tried = try_leave_one_out_parallel(&u, workers).unwrap();
         assert_eq!(plain.values, tried.values, "workers={workers} diverged");
@@ -627,13 +598,13 @@ fn parallel_valuation_separates_panics_from_nan_and_stays_deterministic() {
     let err = try_data_banzhaf_parallel(&panic_u, bz, 2).unwrap_err();
     assert!(matches!(err, XaiError::WorkerPanic { .. }), "{err}");
 
-    // Fault-free parallel twins are bit-identical across worker counts.
+    // Fault-free parallel grids are bit-identical across worker counts.
     let u = FnUtility::new(8, |s: &[usize]| {
         s.iter().map(|&i| (i + 1) as f64 * 0.1).sum::<f64>()
             + f64::from(s.contains(&1) && s.contains(&6)) * 0.4
     });
-    let plain_tmc = tmc_shapley_parallel(&u, config, 1);
-    let plain_bz = data_banzhaf_parallel(&u, bz, 1);
+    let plain_tmc = try_tmc_shapley_parallel(&u, config, 1).unwrap();
+    let plain_bz = try_data_banzhaf_parallel(&u, bz, 1).unwrap();
     for workers in [1, 2, 4] {
         let tried = try_tmc_shapley_parallel(&u, config, workers).unwrap();
         assert_eq!(plain_tmc.values, tried.values, "TMC workers={workers} diverged");
@@ -731,22 +702,16 @@ fn lowest_indexed_panicking_task_wins_regardless_of_workers() {
 #[test]
 fn fault_free_parallel_explainers_are_worker_invariant() {
     // The acceptance bar for the whole error layer: on clean inputs the
-    // try twins reproduce the plain parallel paths bit-for-bit at every
-    // worker count.
+    // chunk-grid cores reproduce their one-worker result bit-for-bit at
+    // every worker count.
     let config = KernelShapConfig::default();
-    let ks_ref = kernel_shap_parallel(&FaultyGame::new(6, Fault::Clean), config, 1);
-    let ps_ref = permutation_shapley_parallel(&FaultyGame::new(6, Fault::Clean), 32, 9, 1);
+    let ks_ref = try_kernel_shap_grid(&FaultyGame::new(6, Fault::Clean), config, 1).unwrap();
+    let ps_ref = try_permutation_shapley_grid(&FaultyGame::new(6, Fault::Clean), 32, 9, 1).unwrap();
     for workers in [1, 2, 4] {
-        let ks = try_kernel_shap_parallel(&FaultyGame::new(6, Fault::Clean), config, workers)
-            .unwrap();
+        let ks = try_kernel_shap_grid(&FaultyGame::new(6, Fault::Clean), config, workers).unwrap();
         assert_eq!(ks_ref.phi, ks.phi, "kernel workers={workers} diverged");
-        let ps = try_permutation_shapley_parallel(
-            &FaultyGame::new(6, Fault::Clean),
-            32,
-            9,
-            workers,
-        )
-        .unwrap();
+        let ps = try_permutation_shapley_grid(&FaultyGame::new(6, Fault::Clean), 32, 9, workers)
+            .unwrap();
         assert_eq!(ps_ref.phi, ps.phi, "permutation workers={workers} diverged");
     }
 }

@@ -8,16 +8,13 @@
 //! agree to ≤ 1e-8 *on every visited subset*, not just on the final
 //! attribution — across LOO, TMC Shapley, and Banzhaf drivers, at multiple
 //! seeds and worker counts.
-// The legacy twin entry points stay under test until removal: this file
-// is their bit-identity oracle against the unified layer.
-#![allow(deprecated)]
 
 use xai_data::synth::linear_gaussian;
 use xai_data::Dataset;
 use xai_datavalue::{
-    data_banzhaf, data_banzhaf_incremental, data_banzhaf_parallel, leave_one_out,
-    leave_one_out_incremental, leave_one_out_parallel, tmc_shapley, tmc_shapley_incremental,
-    tmc_shapley_parallel, BanzhafConfig, FnUtility, IncrementalUtility, LogisticUtility,
+    data_banzhaf, data_banzhaf_incremental, leave_one_out, leave_one_out_incremental,
+    tmc_shapley, tmc_shapley_incremental, try_data_banzhaf_parallel, try_leave_one_out_parallel,
+    try_tmc_shapley_parallel, BanzhafConfig, FnUtility, IncrementalUtility, LogisticUtility,
     RidgeUtility, RidgeValuationModel, TmcConfig, Utility, WarmLogisticModel,
 };
 use xai_models::LogisticConfig;
@@ -86,8 +83,8 @@ fn parallel_drivers_hold_the_per_subset_bound_at_every_worker_count() {
     // Scratch baselines are worker-invariant, so compute them once.
     let cfg = TmcConfig { permutations: 8, truncation_tolerance: 0.0, seed: 17 };
     let bz_cfg = BanzhafConfig { samples_per_point: 4, seed: 19 };
-    let tmc_base = tmc_shapley_parallel(&scratch, cfg, 1);
-    let bz_base = data_banzhaf_parallel(&scratch, bz_cfg, 1);
+    let tmc_base = try_tmc_shapley_parallel(&scratch, cfg, 1).unwrap();
+    let bz_base = try_data_banzhaf_parallel(&scratch, bz_cfg, 1).unwrap();
     let loo_base = leave_one_out(&scratch);
 
     for workers in [1usize, 2, 4] {
@@ -97,15 +94,15 @@ fn parallel_drivers_hold_the_per_subset_bound_at_every_worker_count() {
         // The checking utility asserts the ≤1e-8 bound inside the worker
         // threads; the aggregate must then track the scratch baseline to
         // the accumulated tolerance.
-        let tmc = tmc_shapley_parallel(&check, cfg, workers);
+        let tmc = try_tmc_shapley_parallel(&check, cfg, workers).unwrap();
         for (a, b) in tmc.values.iter().zip(&tmc_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: TMC {a} vs {b}");
         }
-        let bz = data_banzhaf_parallel(&check, bz_cfg, workers);
+        let bz = try_data_banzhaf_parallel(&check, bz_cfg, workers).unwrap();
         for (a, b) in bz.values.iter().zip(&bz_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: Banzhaf {a} vs {b}");
         }
-        let loo = leave_one_out_parallel(&check, workers);
+        let loo = try_leave_one_out_parallel(&check, workers).unwrap();
         for (a, b) in loo.values.iter().zip(&loo_base.values) {
             assert!((a - b).abs() < 1e-6, "workers={workers}: LOO {a} vs {b}");
         }

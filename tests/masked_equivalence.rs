@@ -32,7 +32,7 @@ use xai_models::{
 use xai_rand::rngs::StdRng;
 use xai_rand::{Rng, SeedableRng};
 use xai_shapley::{
-    BatchGame, BatchPredictionGame, MaskedPredictionGame, MemoGame, PredictionGame,
+    BatchPredictionGame, CooperativeGame, MaskedPredictionGame, MemoGame, PredictionGame,
 };
 
 fn credit() -> Dataset {

@@ -3,12 +3,10 @@
 //! Every `Explainer` implementation is driven through
 //! `Explainer::explain` with a `RunConfig` sweeping workers ∈ {1, 2, 4}
 //! and batched ∈ {off, on}, and the output is compared **bit-for-bit**
-//! (`==` on `f64`s, no tolerance) against the legacy free function that
-//! previously served that exact combination at the same seed. This is
-//! the contract that lets the twin explosion be deprecated: the single
-//! dispatch path must reproduce every old entry point exactly.
-// The legacy twins are the oracles this file compares against.
-#![allow(deprecated)]
+//! (`==` on `f64`s, no tolerance) against the free function that serves
+//! that combination at the same seed: the sequential core at one worker
+//! and the chunk-grid core above it, run over the game or model surface
+//! that `batched` selects. `batched` must never change the bits.
 
 use xai::prelude::*;
 use xai::shapley::{
@@ -16,6 +14,7 @@ use xai::shapley::{
     PredictionGame,
 };
 use xai_linalg::Matrix;
+use xai_models::batch_from_scalar;
 
 const WORKER_GRID: [usize; 3] = [1, 2, 4];
 
@@ -52,26 +51,18 @@ fn kernel_shap_matrix_is_bit_identical_to_every_legacy_twin() {
     let cfg = KernelShapConfig { seed: 11, ..KernelShapConfig::default() };
     let method = KernelShapMethod { config: cfg };
 
+    let scalar_game = PredictionGame::new(&f, &row, &bg);
+    let batch_game = BatchPredictionGame::new(&fb, &row, &bg);
     for workers in WORKER_GRID {
         for batched in [false, true] {
-            let legacy = match (workers > 1, batched) {
-                (false, false) => {
-                    let game = PredictionGame::new(&f, &row, &bg);
-                    xai::shapley::kernel_shap(&game, cfg)
-                }
-                (false, true) => {
-                    let game = BatchPredictionGame::new(&fb, &row, &bg);
-                    xai::shapley::kernel_shap_batched(&game, cfg)
-                }
-                (true, false) => {
-                    let game = PredictionGame::new(&f, &row, &bg);
-                    xai::shapley::kernel_shap_parallel(&game, cfg, workers)
-                }
-                (true, true) => {
-                    let game = BatchPredictionGame::new(&fb, &row, &bg);
-                    xai::shapley::kernel_shap_batched_parallel(&game, cfg, workers)
-                }
-            };
+            let game: &(dyn CooperativeGame + Sync) =
+                if batched { &batch_game } else { &scalar_game };
+            let legacy = if workers > 1 {
+                xai::shapley::try_kernel_shap_grid(game, cfg, workers)
+            } else {
+                xai::shapley::try_kernel_shap(game, cfg)
+            }
+            .unwrap();
             let req = ExplainRequest::new(&data)
                 .instance(&row)
                 .background(&bg)
@@ -99,26 +90,18 @@ fn permutation_shapley_matrix_and_budget_are_bit_identical() {
     let perms = 24;
     let method = PermutationShapleyMethod { permutations: perms };
 
+    let scalar_game = PredictionGame::new(&f, &row, &bg);
+    let batch_game = BatchPredictionGame::new(&fb, &row, &bg);
     for workers in WORKER_GRID {
         for batched in [false, true] {
-            let legacy = match (workers > 1, batched) {
-                (false, false) => {
-                    let game = PredictionGame::new(&f, &row, &bg);
-                    xai::shapley::permutation_shapley(&game, perms, 23)
-                }
-                (false, true) => {
-                    let game = BatchPredictionGame::new(&fb, &row, &bg);
-                    xai::shapley::permutation_shapley_batched(&game, perms, 23)
-                }
-                (true, false) => {
-                    let game = PredictionGame::new(&f, &row, &bg);
-                    xai::shapley::permutation_shapley_parallel(&game, perms, 23, workers)
-                }
-                (true, true) => {
-                    let game = BatchPredictionGame::new(&fb, &row, &bg);
-                    xai::shapley::permutation_shapley_batched_parallel(&game, perms, 23, workers)
-                }
-            };
+            let game: &(dyn CooperativeGame + Sync) =
+                if batched { &batch_game } else { &scalar_game };
+            let legacy = if workers > 1 {
+                xai::shapley::try_permutation_shapley_grid(game, perms, 23, workers)
+            } else {
+                xai::shapley::try_permutation_shapley(game, perms, 23)
+            }
+            .unwrap();
             let req = ExplainRequest::new(&data)
                 .instance(&row)
                 .background(&bg)
@@ -131,12 +114,11 @@ fn permutation_shapley_matrix_and_budget_are_bit_identical() {
         }
     }
 
-    // The budgeted path maps onto the budgeted legacy twin (sequential
+    // The budgeted path maps onto the budgeted prefix run (sequential
     // scalar only).
     let budget = SampleBudget::with_max_evals(60);
-    let game = PredictionGame::new(&f, &row, &bg);
     let legacy =
-        xai::shapley::try_permutation_shapley_budgeted(&game, perms, 23, budget).unwrap();
+        xai::shapley::try_permutation_shapley_budgeted(&scalar_game, perms, 23, budget).unwrap();
     let req = ExplainRequest::new(&data)
         .instance(&row)
         .background(&bg)
@@ -201,31 +183,42 @@ fn lime_and_sp_lime_match_their_legacy_entry_points() {
         model.proba_batch(m)
     };
 
+    let scalar = batch_from_scalar(&f);
+    let mut scalar_runs = Vec::new();
     for batched in [false, true] {
-        let legacy = if batched {
-            explainer.try_explain_batched(&fb, &row, cfg, 31).unwrap()
-        } else {
-            explainer.try_explain(&f, &row, cfg, 31).unwrap()
-        };
-        // Batched runs and single-worker scalar runs reproduce the legacy
-        // draw exactly; `workers > 1` on the scalar path takes the chunked
-        // parallel neighbourhood (a different draw schedule), which must be
-        // worker-count invariant.
-        let mut parallel_runs = Vec::new();
-        for workers in WORKER_GRID {
+        let surface: &(dyn Fn(&Matrix) -> Vec<f64> + Sync) = if batched { &fb } else { &scalar };
+        // One worker reproduces the one-stream sequential core; more take
+        // the chunk grid (a different draw schedule), which must be
+        // worker-count invariant. `batched` picks only the model surface,
+        // so it never changes the bits.
+        let mut grid_runs = Vec::new();
+        for (i, workers) in WORKER_GRID.into_iter().enumerate() {
+            let legacy = if workers > 1 {
+                explainer.try_explain_grid(surface, &row, cfg, 31, workers)
+            } else {
+                explainer.try_explain(surface, &row, cfg, 31)
+            }
+            .unwrap();
             let req = ExplainRequest::new(&data)
                 .instance(&row)
                 .plan(RunConfig::seeded(31).with_workers(workers).with_batched(batched));
             let got =
                 attribution(LimeMethod { config: cfg }.explain(&model, &req).unwrap());
-            if batched || workers == 1 {
-                assert_eq!(got.values, legacy.attribution.values, "batched={batched}");
+            assert_eq!(
+                got.values, legacy.attribution.values,
+                "workers={workers} batched={batched}"
+            );
+            if batched {
+                assert_eq!(got.values, scalar_runs[i], "batched changed bits at workers={workers}");
             } else {
-                parallel_runs.push(got.values);
+                scalar_runs.push(got.values.clone());
+            }
+            if workers > 1 {
+                grid_runs.push(got.values);
             }
         }
-        for w in parallel_runs.windows(2) {
-            assert_eq!(w[0], w[1], "parallel LIME must be worker-count invariant");
+        for w in grid_runs.windows(2) {
+            assert_eq!(w[0], w[1], "grid LIME must be worker-count invariant");
         }
     }
 
@@ -247,13 +240,11 @@ fn pdp_curves_match_the_legacy_functions_in_both_modes() {
     let method = PdpMethod { points: 8, max_rows: 60, keep_ice: true };
     let grid = xai::surrogate::feature_grid(&data, 1, 8);
 
+    let scalar = batch_from_scalar(&f);
     for batched in [false, true] {
-        let legacy = if batched {
-            xai::surrogate::try_partial_dependence_batched(&fb, &data, 1, &grid, 60, true)
-        } else {
-            xai::surrogate::try_partial_dependence(&f, &data, 1, &grid, 60, true)
-        }
-        .unwrap();
+        let surface: &dyn Fn(&Matrix) -> Vec<f64> = if batched { &fb } else { &scalar };
+        let legacy =
+            xai::surrogate::try_partial_dependence(surface, &data, 1, &grid, 60, true).unwrap();
         let req = ExplainRequest::new(&data)
             .feature(1)
             .plan(RunConfig::seeded(0).with_batched(batched));
@@ -329,7 +320,7 @@ fn counterfactual_searches_match_their_legacy_twins_across_workers() {
         assert_eq!(got.as_counterfactuals().unwrap()[0].counterfactual, w.counterfactual);
     }
 
-    // GeCo and DiCE: workers > 1 maps onto the parallel multi-start twins.
+    // GeCo and DiCE: workers > 1 maps onto the parallel multi-start grids.
     let plaf = Plaf::from_schema(&data);
     let dice = DiceExplainer::fit(&data);
     for workers in WORKER_GRID {
@@ -410,7 +401,7 @@ fn valuation_methods_match_their_legacy_twins_across_workers() {
             .plan(RunConfig::seeded(19).with_workers(workers));
 
         let legacy = if workers > 1 {
-            xai::datavalue::leave_one_out_parallel(&utility, workers)
+            xai::datavalue::try_leave_one_out_parallel(&utility, workers).unwrap()
         } else {
             xai::datavalue::leave_one_out(&utility)
         };
@@ -419,7 +410,7 @@ fn valuation_methods_match_their_legacy_twins_across_workers() {
 
         let tmc_cfg = TmcConfig { permutations: 6, seed: 19, ..TmcConfig::default() };
         let legacy = if workers > 1 {
-            xai::datavalue::tmc_shapley_parallel(&utility, tmc_cfg, workers)
+            xai::datavalue::try_tmc_shapley_parallel(&utility, tmc_cfg, workers).unwrap()
         } else {
             tmc_shapley(&utility, tmc_cfg).attribution
         };
@@ -432,7 +423,7 @@ fn valuation_methods_match_their_legacy_twins_across_workers() {
 
         let bz_cfg = xai::datavalue::BanzhafConfig { samples_per_point: 8, seed: 19 };
         let legacy = if workers > 1 {
-            xai::datavalue::data_banzhaf_parallel(&utility, bz_cfg, workers)
+            xai::datavalue::try_data_banzhaf_parallel(&utility, bz_cfg, workers).unwrap()
         } else {
             xai::datavalue::data_banzhaf(&utility, bz_cfg)
         };

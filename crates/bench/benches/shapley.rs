@@ -49,9 +49,11 @@ fn bench_exact_vs_samplers() {
 /// `masked/` variants skip materialization entirely (DESIGN.md §12):
 /// coalitions travel as `u64` masks into `ModelOracle::predict_masked`
 /// (at d = 9 the logistic model's masked affine kernel; at d = 6 the
-/// arena-backed gather fallback behind a closure oracle), and
+/// arena-backed copy-and-patch default behind a closure oracle), and
 /// `masked_memo/` layers the cross-request `CoalitionMemo`, warm across
-/// samples. Emits `kernel_shap_batched.json` — the primary input to
+/// samples. `scalar_gbdt/9` and `masked_gbdt/9` run the same core over a
+/// default GBDT, so the gate also sees the tree ensembles' split-routing
+/// kernel. Emits `kernel_shap_batched.json` — the primary input to
 /// `scripts/bench_gate.sh`.
 fn bench_kernel_shap_batched() {
     let data = german_credit(200, 1);
@@ -98,7 +100,7 @@ fn bench_kernel_shap_batched() {
         // Zero-copy masked path: at d = 9 the fold is the identity, so the
         // logistic model itself is the oracle and coalitions run straight
         // through its masked affine kernel; at d = 6 the fold closure has
-        // no masked kernel and rides the arena-backed gather default.
+        // no masked kernel and rides the copy-and-patch default.
         let fold_oracle = FnOracle::new(d, &wide);
         let oracle: &dyn ModelOracle = if d == 9 { model_ref } else { &fold_oracle };
         let masked_game = MaskedPredictionGame::new(oracle, &instance, &background);
@@ -114,10 +116,23 @@ fn bench_kernel_shap_batched() {
             batched.as_secs_f64() / masked.as_secs_f64(),
         ));
     }
+    // Tree ensembles: the default GBDT (50 depth-3 trees) at d = 9, the
+    // scalar game's per-row walks vs the masked game's whole-round
+    // split-routing kernel.
+    let gbdt = Gbdt::fit(data.x(), data.y(), GbdtConfig::default());
+    let background = xai_linalg::Matrix::from_fn(8, 9, |i, j| data.x()[(i, (i + j) % n_features)]);
+    let instance = data.row(40).to_vec();
+    let cfg = KernelShapConfig { max_coalitions: 512, ..Default::default() };
+    let fg = proba_fn(&gbdt);
+    let scalar_game = PredictionGame::new(&fg, &instance, &background);
+    let scalar = group.bench("scalar_gbdt/9", || kernel_shap(&scalar_game, cfg));
+    let masked_game = MaskedPredictionGame::new(&gbdt, &instance, &background);
+    let masked = group.bench("masked_gbdt/9", || kernel_shap(&masked_game, cfg));
     group.finish();
     for (d, batched, masked) in speedups {
         println!("  batched vs scalar at d={d}: {batched:.2}x; masked vs batched: {masked:.2}x");
     }
+    println!("  GBDT masked vs scalar at d=9: {:.2}x", scalar.as_secs_f64() / masked.as_secs_f64());
 }
 
 /// 1000-permutation Monte-Carlo Shapley, the sequential core vs. the

@@ -17,11 +17,12 @@
 //!   capabilities that model-specific methods can probe at runtime.
 //!
 //! Determinism contract: each sampled method has one sequential core and
-//! one chunk-grid core. `batched` picks only the model surface they
-//! evaluate on and never changes draws or bits, while `workers > 1`
-//! selects the fixed-chunk grid — worker-count-invariant, identical to
-//! every sharded execution of the same plan, and intentionally distinct
-//! from the sequential stream (`tests/unified_api.rs` and
+//! one chunk-grid core. `batched` picks only the model surface LIME and
+//! PDP evaluate on (Shapley coalitions always take the masked path) and
+//! never changes draws or bits, while `workers > 1` selects the
+//! fixed-chunk grid — worker-count-invariant, identical to every sharded
+//! execution of the same plan, and intentionally distinct from the
+//! sequential stream (`tests/unified_api.rs` and
 //! `tests/backend_equivalence.rs` enforce this).
 
 use std::any::Any;
@@ -53,7 +54,7 @@ pub enum DegradationPolicy {
 /// |---|---|
 /// | `seed` | the `seed` argument threaded through every estimator |
 /// | `workers` | the chunk-grid core (`> 1`) vs the sequential core (`== 1`) |
-/// | `batched` | the batched model surface for coalitions / neighbourhoods |
+/// | `batched` | the batched model surface for LIME / PDP neighbourhoods |
 /// | `budget` | the budgeted best-effort run |
 /// | `degradation` | strict rejection of ridge-escalated solves |
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,8 +64,11 @@ pub struct RunConfig {
     /// Worker threads; `1` selects the sequential core, `> 1` the
     /// fixed-chunk grid core (worker-count-invariant).
     pub workers: usize,
-    /// Route model evaluation through the batched kernels. Picks only
-    /// the model surface, never the estimator, so it is bit-identical to
+    /// Route LIME / PDP neighbourhoods through the model's batched
+    /// kernels. It does not pick the Shapley game: every unbudgeted
+    /// Kernel SHAP or permutation plan evaluates coalitions through the
+    /// masked game either way. It stays on the wire, and picks only a
+    /// model surface, never the estimator, so it is bit-identical to
     /// scalar evaluation at the same seed and worker count.
     pub batched: bool,
     /// Evaluation/wall-clock budget for Monte-Carlo methods.
@@ -179,11 +183,14 @@ pub trait ModelOracle: Sync {
     /// and appends `background.rows()` predictions per mask to `out`
     /// (coalition-major). `out` is cleared first.
     ///
-    /// The default gathers each view into an arena-leased scratch matrix
-    /// and calls [`predict_batch`](ModelOracle::predict_batch), so it is
+    /// The default copies the background into an arena-leased scratch
+    /// matrix once per mask, patches only the mask's set columns with the
+    /// instance's values, and calls
+    /// [`predict_batch`](ModelOracle::predict_batch), so it is
     /// bit-identical to materialized evaluation for any model whose batch
     /// path honours the row-independence contract. Models in `xai-models`
-    /// override this with truly zero-copy masked kernels.
+    /// override this where they have a cheaper form: zero-copy masked
+    /// kernels, or the MLP's scalar walk over patched rows.
     ///
     /// # Panics
     /// Panics when arities disagree or `background.cols() > 64`.
@@ -195,11 +202,10 @@ pub trait ModelOracle: Sync {
         out.reserve(masks.len() * b);
         xai_linalg::arena::with_scratch_matrix(b, d, |scratch| {
             for &mask in masks {
-                for bi in 0..b {
-                    let src = background.row(bi);
-                    let dst = scratch.row_mut(bi);
-                    for (k, s) in dst.iter_mut().enumerate() {
-                        *s = if mask >> k & 1 == 1 { instance[k] } else { src[k] };
+                scratch.as_mut_slice().copy_from_slice(background.as_slice());
+                for k in (0..d).filter(|&k| mask >> k & 1 == 1) {
+                    for row in scratch.as_mut_slice().chunks_exact_mut(d) {
+                        row[k] = instance[k];
                     }
                 }
                 out.extend_from_slice(&self.predict_batch(scratch));

@@ -1281,10 +1281,11 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
     let choice = request.plan.backend;
     let (explanation, degraded) = if choice.is_local() {
         if inner.memo.capacity() > 0 {
-            // Shared cross-request coalition memo (DESIGN.md §12): batched
-            // coalition methods consult it before calling the model. Keyed
-            // under the model fingerprint, so replacing a model invalidates
-            // its memoized coalition values exactly like the result cache.
+            // Shared cross-request coalition memo (DESIGN.md §12): every
+            // unbudgeted Shapley plan consults it before calling the
+            // model. Keyed under the model fingerprint, so replacing a
+            // model invalidates its memoized coalition values exactly like
+            // the result cache.
             req = req.memo(crate::memo::MemoHandle {
                 memo: &inner.memo,
                 model_fingerprint: entry.fingerprint,

@@ -11,10 +11,10 @@
 //! promise bit-identical output to their scalar counterparts
 //! (`tests/batch_equivalence.rs` enforces it end to end).
 //!
-//! Each kernel also has a **masked** variant (`masked_matvec`,
-//! `masked_affine_fold`, `masked_gemm_nt`) for zero-copy coalition
-//! evaluation (DESIGN.md §12): instead of materializing a perturbed copy of
-//! the background matrix, the masked kernel reads the *instance* value for
+//! The mat-vec kernels also have **masked** variants (`masked_matvec`,
+//! `masked_affine_fold`) for zero-copy coalition evaluation (DESIGN.md
+//! §12): instead of materializing a perturbed copy of the background
+//! matrix, the masked kernel reads the *instance* value for
 //! columns whose bit is set in a `u64` coalition mask and the *background*
 //! value otherwise. The accumulation order is identical to the unmasked
 //! kernel run over the materialized mixture, so masked results are
@@ -364,56 +364,6 @@ fn masked_round_fixed<const B: usize>(
     }
 }
 
-/// Masked `A·Bᵀ` over a coalition view, the twin of [`gemm_nt`]:
-/// `out[(i, j)] = dot(mix(i), b.row(j))` with `mix(i)` as in
-/// [`masked_matvec`]. `out` must be `background.rows() × b.rows()` and is
-/// overwritten.
-///
-/// Loop structure (COL_BLOCK panel over `b`, ascending `k` from `0.0`) is
-/// identical to [`gemm_nt`] — the only difference is that the `a` operand
-/// is selected per element instead of read from a materialized mixture, so
-/// every entry stays bit-identical. This is the masked MLP hidden-layer
-/// kernel.
-pub fn masked_gemm_nt(background: &Matrix, instance: &[f64], mask: u64, b: &Matrix, out: &mut Matrix) {
-    let (m, kk) = background.shape();
-    let n = b.rows();
-    assert_eq!(b.cols(), kk, "masked_gemm_nt inner-dimension mismatch");
-    assert_eq!(instance.len(), kk, "masked_gemm_nt instance arity mismatch");
-    assert_eq!(out.shape(), (m, n), "masked_gemm_nt output shape mismatch");
-    assert!(kk <= 64, "masked kernels support at most 64 features, got {kk}");
-    for i in 0..m {
-        let arow = background.row(i);
-        let orow = out.row_mut(i);
-        let mut j = 0;
-        while j + COL_BLOCK <= n {
-            let (b0, b1, b2, b3) = (b.row(j), b.row(j + 1), b.row(j + 2), b.row(j + 3));
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
-            for k in 0..kk {
-                let av = if masked(mask, k) { instance[k] } else { arow[k] };
-                s0 += av * b0[k];
-                s1 += av * b1[k];
-                s2 += av * b2[k];
-                s3 += av * b3[k];
-            }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += COL_BLOCK;
-        }
-        while j < n {
-            let brow = b.row(j);
-            let mut s = 0.0;
-            for k in 0..kk {
-                let av = if masked(mask, k) { instance[k] } else { arow[k] };
-                s += av * brow[k];
-            }
-            orow[j] = s;
-            j += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,20 +533,5 @@ mod tests {
         masked_matvec_many(&bg, &[0.5, 0.5], &[], &[1.0, 2.0], &mut []);
         let empty = Matrix::zeros(0, 2);
         masked_matvec_many(&empty, &[0.5, 0.5], &[1, 2], &[1.0, 2.0], &mut []);
-    }
-
-    #[test]
-    fn masked_gemm_nt_is_bit_identical_to_materialized() {
-        for (m, n) in [(1usize, 1usize), (5, 4), (8, 7), (3, 10)] {
-            let bg = probe(m, 5, 13);
-            let inst: Vec<f64> = (0..5).map(|k| (k as f64 * 3.14).tan().clamp(-2.0, 2.0)).collect();
-            let b = probe(n, 5, 14);
-            let mut out = Matrix::zeros(m, n);
-            for mask in mask_patterns(5) {
-                masked_gemm_nt(&bg, &inst, mask, &b, &mut out);
-                let expect = gemm_nt(&mixture(&bg, &inst, mask), &b);
-                assert_eq!(out.as_slice(), expect.as_slice(), "m={m} n={n} mask={mask:#b}");
-            }
-        }
     }
 }

@@ -32,8 +32,8 @@ pub mod stats;
 
 pub use arena::{with_scratch, with_scratch_matrix, with_scratch_vec, ScratchArena};
 pub use batch::{
-    affine_fold, gemm_nt, masked_affine_fold, masked_affine_fold_many, masked_gemm_nt,
-    masked_matvec, masked_matvec_many, matvec_blocked,
+    affine_fold, gemm_nt, masked_affine_fold, masked_affine_fold_many, masked_matvec,
+    masked_matvec_many, matvec_blocked,
 };
 pub use cholesky::{choldowndate, cholupdate, solve_spd, Cholesky};
 pub use lu::Lu;

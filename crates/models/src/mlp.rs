@@ -184,31 +184,6 @@ impl Mlp {
         self.task
     }
 
-    /// Masked coalition raw outputs (zero-copy, DESIGN.md §12): one
-    /// pre-head output per background row, reading `instance[k]` where bit
-    /// `k` of `mask` is set and the background value otherwise. The hidden
-    /// pre-activations come from [`xai_linalg::masked_gemm_nt`] into an
-    /// arena-leased scratch matrix (bit-identical to the materialized
-    /// `gemm_nt`), and the output accumulation runs over hidden units in
-    /// the same order as [`Mlp::raw_batch`] — so each value is
-    /// bit-identical to the copy-and-patch path.
-    pub fn raw_masked_into(&self, instance: &[f64], background: &Matrix, mask: u64, out: &mut [f64]) {
-        let b = background.rows();
-        let h = self.w2.len();
-        assert_eq!(out.len(), b, "raw_masked_into output length mismatch");
-        xai_linalg::arena::with_scratch_matrix(b, h, |hidden| {
-            xai_linalg::masked_gemm_nt(background, instance, mask, &self.w1, hidden);
-            for (i, o) in out.iter_mut().enumerate() {
-                let hrow = hidden.row(i);
-                let mut s = self.b2;
-                for k in 0..h {
-                    s += self.w2[k] * (hrow[k] + self.b1[k]).tanh();
-                }
-                *o = s;
-            }
-        });
-    }
-
     /// Gradient of the *model output* (probability or value) with respect to
     /// the input — the basis of saliency-style attributions.
     pub fn input_gradient(&self, x: &[f64]) -> Vec<f64> {

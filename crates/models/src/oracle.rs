@@ -25,11 +25,13 @@
 //! - `predict_masked` overrides route through each model's zero-copy
 //!   masked kernels (DESIGN.md §12) — linear/logistic evaluate whole
 //!   rounds through the hoisted `masked_*_many` mat-vec/affine kernels,
-//!   MLPs the masked GEMM, and the tree ensembles
-//!   route splits through `predict_value_masked` — each bit-identical to
-//!   predicting the materialized coalition view. k-NN and naive Bayes keep
-//!   the gather-into-scratch default (their batch path *is* the scalar
-//!   row loop, so the default is already canonical).
+//!   and the tree ensembles route whole background row sets through the
+//!   shared `tree::masked_round` kernel — each bit-identical to
+//!   predicting the materialized coalition view. MLPs patch one row
+//!   buffer per view and score it with the scalar `proba_one`, whose
+//!   fused per-row walk beats their GEMM batch path on coalition rounds.
+//!   k-NN and naive Bayes keep the copy-and-patch default (their batch
+//!   path *is* the scalar row loop, so the default is already canonical).
 
 use std::any::Any;
 
@@ -37,6 +39,7 @@ use xai_core::ModelOracle;
 use xai_linalg::Matrix;
 
 use crate::traits::{Classifier, Model, Regressor};
+use crate::tree::masked_round;
 use crate::{
     DecisionTree, GaussianNb, Gbdt, Knn, LinearRegression, LogisticRegression, Mlp, RandomForest,
 };
@@ -63,23 +66,6 @@ macro_rules! classifier_oracle {
 classifier_oracle!(Knn);
 classifier_oracle!(GaussianNb);
 
-/// Appends `masks.len() × background.rows()` masked predictions to `out`
-/// (coalition-major), evaluating each mask's chunk with `fill`. The shared
-/// skeleton of every per-model `predict_masked` override.
-fn masked_chunks(
-    background: &Matrix,
-    masks: &[u64],
-    out: &mut Vec<f64>,
-    mut fill: impl FnMut(u64, &mut [f64]),
-) {
-    let b = background.rows();
-    out.clear();
-    out.resize(masks.len() * b, 0.0);
-    for (ci, &mask) in masks.iter().enumerate() {
-        fill(mask, &mut out[ci * b..(ci + 1) * b]);
-    }
-}
-
 impl ModelOracle for DecisionTree {
     fn n_features(&self) -> usize {
         Model::n_features(self)
@@ -91,11 +77,7 @@ impl ModelOracle for DecisionTree {
         Classifier::proba_batch(self, rows)
     }
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
-        masked_chunks(background, masks, out, |mask, chunk| {
-            for (bi, o) in chunk.iter_mut().enumerate() {
-                *o = self.predict_value_masked(instance, background.row(bi), mask);
-            }
-        });
+        masked_round(std::slice::from_ref(self), instance, background, masks, out, |o, v| *o = v);
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
@@ -112,10 +94,14 @@ impl ModelOracle for RandomForest {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
+    /// Per-row tree sums from `0.0` in tree order, then `/ n_trees` — the
+    /// same association as `RandomForest::predict_values`.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
-        masked_chunks(background, masks, out, |mask, chunk| {
-            self.predict_values_masked(instance, background, mask, chunk);
-        });
+        masked_round(self.trees(), instance, background, masks, out, |o, v| *o += v);
+        let n = self.trees().len() as f64;
+        for o in out.iter_mut() {
+            *o /= n;
+        }
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
@@ -132,19 +118,20 @@ impl ModelOracle for Gbdt {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
-    /// Masked margins plus the classifier head, applied per value in the
-    /// same order as `Classifier::proba_batch` — bit-identical either way.
+    /// Per-row tree sums from `0.0` in boosting order, then
+    /// `base + lr·sum` and the classifier head — the same composition as
+    /// `Classifier::proba_batch`, bit-identical either way.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
         use crate::gbdt::GbdtLoss;
-        masked_chunks(background, masks, out, |mask, chunk| {
-            self.margin_masked_into(instance, background, mask, chunk);
-            for o in chunk.iter_mut() {
-                *o = match self.loss() {
-                    GbdtLoss::Squared => o.clamp(0.0, 1.0),
-                    GbdtLoss::Logistic => xai_data::sigmoid(*o),
-                };
-            }
-        });
+        masked_round(self.trees(), instance, background, masks, out, |o, v| *o += v);
+        let (base, lr) = (self.base_score(), self.learning_rate());
+        for o in out.iter_mut() {
+            let margin = base + lr * *o;
+            *o = match self.loss() {
+                GbdtLoss::Squared => margin.clamp(0.0, 1.0),
+                GbdtLoss::Logistic => xai_data::sigmoid(margin),
+            };
+        }
     }
     fn as_any(&self) -> Option<&dyn Any> {
         Some(self)
@@ -219,19 +206,27 @@ impl ModelOracle for Mlp {
     fn predict_batch(&self, rows: &Matrix) -> Vec<f64> {
         Classifier::proba_batch(self, rows)
     }
-    /// Masked raw outputs through the masked GEMM, then the classifier
-    /// head per value in `proba_batch` order — bit-identical either way.
+    /// Each coalition view is patched into one row buffer and scored by
+    /// `proba_one`, the scalar path itself: its fused per-row walk (dot
+    /// product, then `tanh`, per hidden unit) measured faster on
+    /// coalition rounds than the GEMM batch path behind the default.
     fn predict_masked(&self, instance: &[f64], background: &Matrix, masks: &[u64], out: &mut Vec<f64>) {
-        use crate::mlp::MlpTask;
-        masked_chunks(background, masks, out, |mask, chunk| {
-            self.raw_masked_into(instance, background, mask, chunk);
-            for o in chunk.iter_mut() {
-                *o = match self.task() {
-                    MlpTask::Regression => o.clamp(0.0, 1.0),
-                    MlpTask::Classification => xai_data::sigmoid(*o),
-                };
+        let d = instance.len();
+        out.clear();
+        out.reserve(masks.len() * background.rows());
+        let mut view = vec![0.0; d];
+        let mut members = Vec::with_capacity(d);
+        for &mask in masks {
+            members.clear();
+            members.extend((0..d).filter(|&k| mask >> k & 1 == 1));
+            for row in background.iter_rows() {
+                view.copy_from_slice(row);
+                for &k in &members {
+                    view[k] = instance[k];
+                }
+                out.push(Classifier::proba_one(self, &view));
             }
-        });
+        }
     }
     fn gradient(&self, x: &[f64]) -> Option<Vec<f64>> {
         Some(self.input_gradient(x))

@@ -371,6 +371,152 @@ impl DecisionTree {
     }
 }
 
+/// Child index marking a leaf in the flattened routing table.
+const LEAF: u32 = u32::MAX;
+
+/// One node of [`masked_round`]'s flattened routing table: children are
+/// absolute indices across all trees, and `inst` is the child the
+/// explained instance takes.
+#[derive(Clone, Copy)]
+struct RouteNode {
+    feature: u32,
+    left: u32,
+    right: u32,
+    inst: u32,
+    value: f64,
+}
+
+/// Whole-round masked routing over a tree ensemble (DESIGN.md §12): for
+/// every mask in `masks`, every background row's coalition view and every
+/// tree, finds the leaf the tree assigns the view and calls
+/// `apply(&mut out[mask · b + row], leaf value)`, trees in slice order.
+/// `out` is first reset to `masks.len() × background.rows()` zeros.
+///
+/// This is TreeSHAP's path trick applied to coalitions. Every split
+/// decision is computed once per call: one bit per background row, packed
+/// into 64-row words, plus the instance's branch. A tree is then routed
+/// once per distinct coalition restricted to its own split features, and
+/// each routing moves whole row sets: a node whose split feature is in
+/// the coalition sends the entire set down the instance's branch, and
+/// only splits on features outside it partition the rows. The leaf values
+/// of that routing serve every mask with the same restriction.
+///
+/// Bit-identity: the comparisons are exactly those
+/// [`DecisionTree::predict_value_masked`] makes, so every row lands in the
+/// same leaf, and each output slot receives its trees' values in slice
+/// order — so an accumulating `apply` sums in boosting/tree order, as the
+/// per-row walk does.
+///
+/// # Panics
+/// Panics when arities disagree or `background.cols() > 64`.
+pub(crate) fn masked_round(
+    trees: &[DecisionTree],
+    instance: &[f64],
+    background: &Matrix,
+    masks: &[u64],
+    out: &mut Vec<f64>,
+    mut apply: impl FnMut(&mut f64, f64),
+) {
+    let (b, d) = background.shape();
+    assert_eq!(instance.len(), d, "masked routing instance arity mismatch");
+    assert!(d <= 64, "masked routing supports at most 64 features, got {d}");
+    out.clear();
+    out.resize(masks.len() * b, 0.0);
+    let total: usize = trees.iter().map(|t| t.nodes.len()).sum();
+    assert!(total < LEAF as usize, "ensemble too large for masked routing");
+
+    let mut nodes = Vec::with_capacity(total);
+    // (root, features the tree splits on) per tree.
+    let mut roots = Vec::with_capacity(trees.len());
+    // Bit `r % 64` of `left_bits[(r / 64) * total + g]` is set when
+    // background row `r` goes left at node `g`.
+    let mut left_bits = vec![0u64; b.div_ceil(64) * total];
+    for tree in trees {
+        let base = nodes.len();
+        let mut used = 0u64;
+        for node in &tree.nodes {
+            let g = nodes.len();
+            let (left, right, inst) = match (node.left, node.right) {
+                (Some(l), Some(r)) => {
+                    let (l, r) = ((base + l) as u32, (base + r) as u32);
+                    let f = node.feature;
+                    used |= 1 << f;
+                    for (ri, row) in background.iter_rows().enumerate() {
+                        let goes_left = (row[f] <= node.threshold) as u64;
+                        left_bits[(ri / 64) * total + g] |= goes_left << (ri % 64);
+                    }
+                    (l, r, if instance[f] <= node.threshold { l } else { r })
+                }
+                _ => (LEAF, LEAF, LEAF),
+            };
+            let (feature, value) = (node.feature as u32, node.value);
+            nodes.push(RouteNode { feature, left, right, inst, value });
+        }
+        roots.push((base as u32, used));
+    }
+
+    let mut leaf_values = vec![0.0; b];
+    let mut pending = Vec::new();
+    let mut by_coalition: Vec<(u64, usize)> = Vec::with_capacity(masks.len());
+    for &(root, used) in &roots {
+        by_coalition.clear();
+        by_coalition.extend(masks.iter().enumerate().map(|(i, &mask)| (mask & used, i)));
+        by_coalition.sort_unstable();
+        for group in by_coalition.chunk_by(|x, y| x.0 == y.0) {
+            for (w, rows) in leaf_values.chunks_mut(64).enumerate() {
+                let bits = &left_bits[w * total..(w + 1) * total];
+                route_rows(&nodes, bits, root, group[0].0, rows, &mut pending);
+            }
+            for &(_, i) in group {
+                for (o, &v) in out[i * b..(i + 1) * b].iter_mut().zip(&leaf_values) {
+                    apply(o, v);
+                }
+            }
+        }
+    }
+}
+
+/// Routes one word's rows (`rows.len() <= 64`) through the tree at
+/// `root` for coalition `mask`, writing each row's leaf value. `pending`
+/// holds the right halves of partitioned sets; it is empty on return.
+fn route_rows(
+    nodes: &[RouteNode],
+    left_bits: &[u64],
+    root: u32,
+    mask: u64,
+    rows: &mut [f64],
+    pending: &mut Vec<(u32, u64)>,
+) {
+    let (mut id, mut set) = (root, u64::MAX >> (64 - rows.len()));
+    loop {
+        let node = nodes[id as usize];
+        if node.left == LEAF {
+            let mut s = set;
+            while s != 0 {
+                rows[s.trailing_zeros() as usize] = node.value;
+                s &= s - 1;
+            }
+            match pending.pop() {
+                Some(next) => (id, set) = next,
+                None => return,
+            }
+        } else if mask >> node.feature & 1 == 1 {
+            id = node.inst;
+        } else {
+            let left = set & left_bits[id as usize];
+            let right = set ^ left;
+            if left == 0 {
+                id = node.right;
+            } else {
+                if right != 0 {
+                    pending.push((node.right, right));
+                }
+                (id, set) = (node.left, left);
+            }
+        }
+    }
+}
+
 impl Model for DecisionTree {
     fn n_features(&self) -> usize {
         self.n_features

@@ -18,22 +18,24 @@
 //!   model.
 //!
 //! Each estimator has **one core** (one sequential function and one
-//! chunk-grid function), and `RunConfig::batched` picks only the game that
-//! core runs over, in `explainer.rs`:
+//! chunk-grid function), and `with_game` in `explainer.rs` picks the game
+//! that core runs over for every unbudgeted plan, whatever
+//! `RunConfig::batched` says:
 //!
-//! - **`batched: false`** — the scalar [`crate::PredictionGame`], whose
-//!   `values` is the default row loop;
-//! - **`batched: true`, ≤ 64 features** — the zero-copy
+//! - **≤ 64 features** — the zero-copy
 //!   [`crate::masked::MaskedPredictionGame`], which encodes each coalition
 //!   as a `u64` bitmask and evaluates it through
 //!   `ModelOracle::predict_masked` with **no perturbed row ever copied**
-//!   (masked kernels in `xai_linalg::batch`, arena scratch for outputs).
-//!   When the request carries a shared [`xai_core::CoalitionMemo`] handle,
-//!   the game is additionally wrapped in a [`crate::masked::MemoGame`] —
-//!   the cross-request generalization of [`CachedGame`];
-//! - **`batched: true`, > 64 features** — the [`BatchPredictionGame`]
-//!   here, which trades one big allocation for batched inference and
-//!   works at any arity.
+//!   (masked kernels in `xai_linalg::batch`, whole-round split routing for
+//!   the tree ensembles, arena scratch for outputs). When the request
+//!   carries a shared [`xai_core::CoalitionMemo`] handle, the game is
+//!   additionally wrapped in a [`crate::masked::MemoGame`] — the
+//!   cross-request generalization of [`CachedGame`];
+//! - **> 64 features** — the [`BatchPredictionGame`] here, which trades
+//!   one big allocation for batched inference and works at any arity.
+//!
+//! Budgeted runs keep the scalar [`crate::PredictionGame`], whose `values`
+//! is the default row loop.
 //!
 //! Every game preserves the workspace determinism contract *bitwise*: an
 //! estimator returns the same bits over any of them at the same seed and

@@ -4,16 +4,16 @@
 //!
 //! Dispatch contract (enforced by `tests/unified_api.rs`): the sampled
 //! estimators each have one sequential core and one chunk-grid core.
-//! `RunConfig::batched` picks only the game those cores evaluate
-//! ([`with_game`]), and `workers > 1` alone picks the chunk grid, whose
-//! per-chunk body is the same function `explain_chunks` runs — so direct,
-//! sharded and remote runs of one plan emit the same bits. A
-//! `SampleBudget` is honoured by permutation sampling and by Kernel SHAP
-//! (each on the sequential scalar path only — budgeted Kernel SHAP at eval
-//! cap `k` equals an unbudgeted run with `max_coalitions = k` bit for
-//! bit); deterministic enumerators (exact Shapley, TreeSHAP) and budget +
-//! parallel/batched combinations report [`XaiError::Unsupported`] rather
-//! than silently ignoring the cap.
+//! Every unbudgeted plan evaluates coalitions through the one masked game
+//! ([`with_game`]) whatever `RunConfig::batched` says, and `workers > 1`
+//! alone picks the chunk grid, whose per-chunk body is the same function
+//! `explain_chunks` runs — so direct, sharded and remote runs of one plan
+//! emit the same bits. A `SampleBudget` is honoured by permutation
+//! sampling and by Kernel SHAP (each on the sequential scalar path only —
+//! budgeted Kernel SHAP at eval cap `k` equals an unbudgeted run with
+//! `max_coalitions = k` bit for bit); deterministic enumerators (exact
+//! Shapley, TreeSHAP) and budget + parallel/batched combinations report
+//! [`XaiError::Unsupported`] rather than silently ignoring the cap.
 
 use xai_core::shard::{
     chunks_json, flatten_chunks, index_field, num_field, nums_field, wire_error, DrawGrid,
@@ -76,15 +76,15 @@ fn endpoints(
     Ok((base, pred))
 }
 
-/// Runs `f` over the coalition game the plan selects — the only place
-/// `RunConfig::batched` matters to the Shapley estimators. A scalar plan
-/// gets the row-by-row [`PredictionGame`]. A batched plan gets the
-/// zero-copy [`MaskedPredictionGame`] whenever the arity fits the `u64`
-/// coalition bitmask (wrapped in a [`MemoGame`] when the request carries a
-/// shared memo handle), and the materializing [`BatchPredictionGame`]
-/// above [`MAX_MASKED_PLAYERS`] features, where no bitmask exists. All
-/// four games are bit-identical at every seed and worker count, so this
-/// choice is pure mechanics — see `crates/shapley/src/batch.rs` docs.
+/// Runs `f` over the coalition game of every unbudgeted Shapley plan:
+/// the zero-copy [`MaskedPredictionGame`] whenever the arity fits the
+/// `u64` coalition bitmask (wrapped in a [`MemoGame`] when the request
+/// carries a shared memo handle), and the materializing
+/// [`BatchPredictionGame`] above [`MAX_MASKED_PLAYERS`] features, where no
+/// bitmask exists. `RunConfig::batched` plays no part: it stays on the
+/// wire, but every game is bit-identical to the scalar
+/// [`PredictionGame`] at every seed and worker count, so the fastest one
+/// serves all plans — see `crates/shapley/src/batch.rs` docs.
 fn with_game<R>(
     model: &dyn ModelOracle,
     instance: &[f64],
@@ -92,10 +92,7 @@ fn with_game<R>(
     req: &ExplainRequest<'_>,
     f: impl FnOnce(&(dyn CooperativeGame + Sync)) -> R,
 ) -> R {
-    if !req.plan.batched {
-        let fs = |x: &[f64]| model.predict(x);
-        f(&PredictionGame::new(&fs, instance, background))
-    } else if instance.len() <= MAX_MASKED_PLAYERS {
+    if instance.len() <= MAX_MASKED_PLAYERS {
         let game = MaskedPredictionGame::new(model, instance, background);
         match req.memo {
             Some(h) => {
@@ -518,9 +515,8 @@ impl ShardableExplainer for KernelShapMethod {
         let background = req.background_or_data();
         validate::background("kernel SHAP", instance, background)?;
         let n = instance.len();
-        let f = |x: &[f64]| model.predict(x);
-        let game = PredictionGame::new(&f, instance, background);
-        let (ends, short) = kernel::endpoints(&game)?;
+        let (ends, short) =
+            with_game(model, instance, background, req, |game| kernel::endpoints(game))?;
         let ks = if let Some(s) = short {
             s
         } else {

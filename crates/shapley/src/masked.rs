@@ -9,10 +9,10 @@
 //!   and hands `(instance, background, masks)` to
 //!   [`ModelOracle::predict_masked`], where every model family reads the
 //!   instance column or the background column per the mask — blocked
-//!   masked kernels for linear/logistic/MLP, masked split routing for the
-//!   tree ensembles, and an arena-backed gather fallback for everything
-//!   else. Predictions land in arena scratch, so steady-state rounds make
-//!   zero heap allocations.
+//!   masked kernels for linear/logistic, whole-round split routing for
+//!   the tree ensembles, patched rows through the scalar walk for MLPs,
+//!   and an arena-backed copy-and-patch fallback for everything else.
+//!   Predictions land in arena scratch.
 //! - [`MemoGame`] wraps any [`CooperativeGame`] with the shared cross-request
 //!   [`CoalitionMemo`]: coalition values are looked up under
 //!   `(GameKey, mask)` before touching the oracle and published after, so

@@ -26,6 +26,9 @@ cargo test -q --test unified_api
 echo "==> cargo test -q --test registry_completeness"
 cargo test -q --test registry_completeness
 
+echo "==> cargo test -q --test masked_equivalence"
+cargo test -q --test masked_equivalence
+
 echo "==> cargo test -q --test batch_equivalence"
 cargo test -q --test batch_equivalence
 

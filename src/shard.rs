@@ -132,6 +132,15 @@ impl ModelOracle for PersistedModel {
     fn predict_batch(&self, rows: &xai_linalg::Matrix) -> Vec<f64> {
         self.oracle().predict_batch(rows)
     }
+    fn predict_masked(
+        &self,
+        instance: &[f64],
+        background: &xai_linalg::Matrix,
+        masks: &[u64],
+        out: &mut Vec<f64>,
+    ) {
+        self.oracle().predict_masked(instance, background, masks, out)
+    }
     fn gradient(&self, x: &[f64]) -> Option<Vec<f64>> {
         self.oracle().gradient(x)
     }

@@ -27,7 +27,7 @@ use xai_linalg::Matrix;
 use xai_models::{
     persisted_bytes, proba_fn, regress_fn, DecisionTree, ForestConfig, GaussianNb, Gbdt,
     GbdtConfig, GbdtLoss, Knn, LinearConfig, LinearRegression, LogisticConfig, LogisticRegression,
-    Mlp, MlpConfig, MlpTask, RandomForest, TreeConfig,
+    Mlp, MlpConfig, MlpTask, RandomForest, SplitCriterion, TreeConfig, TreeNode,
 };
 use xai_rand::rngs::StdRng;
 use xai_rand::{Rng, SeedableRng};
@@ -122,11 +122,104 @@ fn tree_ensemble_masked_paths_are_bit_identical() {
     );
     assert_masked_bit_identical("forest", &forest, &proba_fn(&forest), &data);
 
+    // Depth 8 (the forest default) allows up to 255 internal nodes per tree.
+    let deep = RandomForest::fit(
+        data.x(),
+        data.y(),
+        ForestConfig {
+            n_trees: 6,
+            seed: 3,
+            tree: TreeConfig { max_depth: 8, ..Default::default() },
+            ..Default::default()
+        },
+    );
+    assert!(deep.trees().iter().any(|t| t.depth() >= 6), "forest should grow deep trees");
+    assert_masked_bit_identical("deep forest", &deep, &proba_fn(&deep), &data);
+
     for loss in [GbdtLoss::Logistic, GbdtLoss::Squared] {
         let gbdt =
             Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 10, loss, ..Default::default() });
         assert_masked_bit_identical("gbdt", &gbdt, &proba_fn(&gbdt), &data);
     }
+
+    // Degenerate shapes: a lone leaf, and a single split.
+    let leaf =
+        DecisionTree::fit(data.x(), data.y(), TreeConfig { max_depth: 0, ..Default::default() });
+    assert_eq!(leaf.n_leaves(), 1);
+    assert_masked_bit_identical("single leaf", &leaf, &proba_fn(&leaf), &data);
+    let stump =
+        DecisionTree::fit(data.x(), data.y(), TreeConfig { max_depth: 1, ..Default::default() });
+    assert_eq!(stump.depth(), 1);
+    assert_masked_bit_identical("stump", &stump, &proba_fn(&stump), &data);
+
+    // Feature 0 splits twice along the root's left path, so a coalition
+    // holding feature 0 must take the instance's branch at both nodes.
+    let mut col: Vec<f64> = background(&data).iter_rows().map(|r| r[0]).collect();
+    col.sort_by(f64::total_cmp);
+    let split = |feature, threshold, left, right| TreeNode {
+        feature,
+        threshold,
+        left: Some(left),
+        right: Some(right),
+        value: 0.0,
+        cover: 1.0,
+    };
+    let leaf_node = |value| TreeNode {
+        feature: 0,
+        threshold: 0.0,
+        left: None,
+        right: None,
+        value,
+        cover: 1.0,
+    };
+    let twice = DecisionTree::from_parts(
+        vec![
+            split(0, col[4], 1, 4),
+            split(0, col[2], 2, 3),
+            leaf_node(0.1),
+            leaf_node(0.3),
+            split(3, data.x()[(0, 3)], 5, 6),
+            leaf_node(0.6),
+            leaf_node(0.9),
+        ],
+        data.n_features(),
+        SplitCriterion::Gini,
+    );
+    assert_masked_bit_identical("repeated split", &twice, &proba_fn(&twice), &data);
+
+    // One whole round of 1 200 masks (an odd stride through all 512
+    // coalitions of the 9 features, so each appears at least twice) over
+    // a 150-row background (three row words, the last one partial),
+    // compared mask by mask with the per-row walk.
+    let wide_bg = Matrix::from_fn(150, data.n_features(), |i, j| data.x()[(i % data.n_rows(), j)]);
+    let instance = data.row(11);
+    let masks: Vec<u64> = (0..1200u64).map(|i| i * 173 % 512).collect();
+    let walk = |t: &DecisionTree, mask: u64, bi: usize| {
+        t.predict_value_masked(instance, wide_bg.row(bi), mask)
+    };
+    let check_round = |name: &str, oracle: &dyn ModelOracle, want: &dyn Fn(u64, usize) -> f64| {
+        let mut out = Vec::new();
+        oracle.predict_masked(instance, &wide_bg, &masks, &mut out);
+        let b = wide_bg.rows();
+        assert_eq!(out.len(), masks.len() * b, "{name}: round size");
+        for (i, got) in out.iter().enumerate() {
+            let (m, bi) = (masks[i / b], i % b);
+            assert_eq!(got.to_bits(), want(m, bi).to_bits(), "{name}: mask {m:#b}, row {bi}");
+        }
+    };
+    let ensemble_sum = |trees: &[DecisionTree], m: u64, bi: usize| {
+        trees.iter().fold(0.0, |acc, t| acc + walk(t, m, bi))
+    };
+    for (name, t) in [("tree", &tree), ("single leaf", &leaf), ("stump", &stump), ("twice", &twice)] {
+        check_round(name, t, &|m, bi| walk(t, m, bi));
+    }
+    let n = deep.trees().len() as f64;
+    check_round("deep forest", &deep, &|m, bi| ensemble_sum(deep.trees(), m, bi) / n);
+    let gbdt = Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 10, ..Default::default() });
+    check_round("gbdt", &gbdt, &|m, bi| {
+        let margin = gbdt.base_score() + gbdt.learning_rate() * ensemble_sum(gbdt.trees(), m, bi);
+        xai::data::sigmoid(margin)
+    });
 }
 
 #[test]
@@ -157,7 +250,9 @@ fn knn_naive_bayes_mlp_and_closure_masked_paths_are_bit_identical() {
 
 /// Memo-on vs memo-off through the unified explainers: attaching a
 /// `MemoHandle` to the request must not change a single bit of the
-/// attribution, cold or warm, sequential or parallel.
+/// attribution, cold or warm, sequential or parallel, batched or not —
+/// `batched` stays on the wire but every unbudgeted plan runs the masked
+/// game, so both settings consult the memo and emit the same bytes.
 #[test]
 fn unified_dispatch_is_memo_invariant() {
     let data = credit();
@@ -165,26 +260,39 @@ fn unified_dispatch_is_memo_invariant() {
     let row = data.row(0).to_vec();
     let memo = CoalitionMemo::new(1 << 14);
     let handle = MemoHandle { memo: &memo, model_fingerprint: 42 };
+    let bytes = |e: &xai::core::Explanation| -> Vec<u64> {
+        let a = e.as_attribution().unwrap();
+        a.values.iter().chain([&a.baseline, &a.prediction]).map(|v| v.to_bits()).collect()
+    };
 
-    for workers in [1usize, 2, 4] {
-        let plan = RunConfig::seeded(9).with_workers(workers).with_batched(true);
-        for method in [
-            &KernelShapMethod::default() as &dyn Explainer,
-            &PermutationShapleyMethod { permutations: 16 },
-        ] {
-            let req = ExplainRequest::new(&data).instance(&row).plan(plan);
-            let plain = method.explain(&model, &req).unwrap();
-            let cold = method.explain(&model, &req.memo(handle)).unwrap();
-            let req = ExplainRequest::new(&data).instance(&row).plan(plan);
-            let warm = method.explain(&model, &req.memo(handle)).unwrap();
-            let plain = plain.as_attribution().unwrap();
-            assert_eq!(plain.values, cold.as_attribution().unwrap().values);
-            assert_eq!(plain.values, warm.as_attribution().unwrap().values);
+    let mut reference: Vec<Vec<u64>> = Vec::new();
+    for batched in [true, false] {
+        let before = memo.stats();
+        let mut run = 0;
+        for workers in [1usize, 2, 4] {
+            let plan = RunConfig::seeded(9).with_workers(workers).with_batched(batched);
+            for method in [
+                &KernelShapMethod::default() as &dyn Explainer,
+                &PermutationShapleyMethod { permutations: 16 },
+            ] {
+                let req = ExplainRequest::new(&data).instance(&row).plan(plan);
+                let plain = bytes(&method.explain(&model, &req).unwrap());
+                let cold = bytes(&method.explain(&model, &req.memo(handle)).unwrap());
+                let req = ExplainRequest::new(&data).instance(&row).plan(plan);
+                let warm = bytes(&method.explain(&model, &req.memo(handle)).unwrap());
+                assert_eq!(plain, cold, "batched={batched}: cold memo run changed bytes");
+                assert_eq!(plain, warm, "batched={batched}: warm memo run changed bytes");
+                match reference.get(run) {
+                    Some(r) => assert_eq!(&plain, r, "batched=false changed bytes"),
+                    None => reference.push(plain),
+                }
+                run += 1;
+            }
         }
+        let after = memo.stats();
+        assert!(after.hits > before.hits, "batched={batched}: warm runs must hit the shared memo");
+        assert!(after.entries > 0, "unified runs must populate the shared memo");
     }
-    let stats = memo.stats();
-    assert!(stats.hits > 0, "warm unified runs must hit the shared memo");
-    assert!(stats.entries > 0, "unified runs must populate the shared memo");
 }
 
 /// Serve concurrency soak: hammer a memo-enabled service with repeated

@@ -124,9 +124,9 @@ fn memo_eviction_soak_keeps_bytes_and_counters_exact() {
     // to its contract: it is *transparent* (every payload byte-identical
     // to the direct run) and its counters balance exactly.
     //
-    // The traffic is Kernel SHAP on the batched path (the only path that
-    // consults the memo) at many distinct seeds: distinct seeds defeat
-    // the result cache (every submission reaches the explainer) while
+    // The traffic is Kernel SHAP (every unbudgeted Shapley plan consults
+    // the memo, batched or not) at many distinct seeds: distinct seeds
+    // defeat the result cache (every submission reaches the explainer) while
     // still sharing memo keys, because coalition values are
     // seed-independent. Each request's lookup count is deterministic, so
     // summed over the whole set:
@@ -158,7 +158,7 @@ fn memo_eviction_soak_keeps_bytes_and_counters_exact() {
     }
     let baseline = baseline_fx.service.stats();
     let total_lookups = baseline.memo_hits + baseline.memo_misses;
-    assert!(total_lookups > 0, "the batched path must consult the memo");
+    assert!(total_lookups > 0, "Kernel SHAP must consult the memo");
     assert_eq!(baseline.memo_evictions, 0, "the baseline memo must never evict");
 
     // Soak: a memo much smaller than the working set, hammered from

@@ -7,12 +7,16 @@ use xai_counterfactual::{
     geco, random_search_counterfactual, try_geco_parallel, GecoConfig, Plaf,
 };
 use xai_data::synth::german_credit;
-use xai_models::{batch_from_scalar, proba_fn, LogisticConfig, LogisticRegression};
+use xai_linalg::Matrix;
+use xai_models::{
+    batch_from_scalar, batch_proba_fn, proba_fn, Classifier, Gbdt, GbdtConfig, LogisticConfig,
+    LogisticRegression,
+};
 use xai_provenance::{
     retrain_ridge, tuple_shapley_exact, tuple_shapley_sampled, IncrementalRidge, Polynomial,
 };
 use xai_rand::parallel::default_workers;
-use xai_rules::{apriori, fp_growth, ItemVocabulary};
+use xai_rules::{apriori, fp_growth, AnchorsConfig, AnchorsExplainer, ItemVocabulary};
 use xai_surrogate::{LimeConfig, LimeExplainer};
 
 fn bench_geco() {
@@ -98,10 +102,41 @@ fn bench_lime() {
     group.finish();
 }
 
+fn bench_anchors() {
+    // One bandit search per call over each model's batched surface.
+    let data = german_credit(600, 17);
+    let logistic = LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default());
+    let gbdt = Gbdt::fit(data.x(), data.y(), GbdtConfig::default());
+    let anchors = AnchorsExplainer::fit(&data);
+    let x = data.row(0).to_vec();
+    let mut group = Group::new("anchors").samples(7);
+    let f = batch_proba_fn(&logistic);
+    group.bench("logistic", || anchors.explain(&f, &x, AnchorsConfig::default(), 3));
+    let f = batch_proba_fn(&gbdt);
+    group.bench("gbdt", || anchors.explain(&f, &x, AnchorsConfig::default(), 3));
+    group.finish();
+}
+
+fn bench_tree_predict_batch() {
+    // The default 50-round GBDT through the batch tree kernel, at an
+    // Anchors pull's batch size and at a large batch.
+    let data = german_credit(2000, 23);
+    let gbdt = Gbdt::fit(data.x(), data.y(), GbdtConfig::default());
+    let mut group = Group::new("tree_predict_batch").samples(11);
+    for rows in [50usize, 2000] {
+        let idx: Vec<usize> = (0..rows).collect();
+        let batch: Matrix = data.x().select_rows(&idx);
+        group.bench(&format!("gbdt_{rows}"), || gbdt.proba_batch(&batch));
+    }
+    group.finish();
+}
+
 fn main() {
     bench_geco();
     bench_mining();
     bench_tuple_shapley();
     bench_priu();
     bench_lime();
+    bench_anchors();
+    bench_tree_predict_batch();
 }

@@ -2,7 +2,7 @@
 
 use xai_bench::{f, fmt_duration, time, Table};
 use xai_data::synth::german_credit;
-use xai_models::{proba_fn, DecisionTree, Gbdt, GbdtConfig, TreeConfig};
+use xai_models::{batch_from_scalar, proba_fn, DecisionTree, Gbdt, GbdtConfig, TreeConfig};
 use xai_rules::{
     apriori, fp_growth, is_sufficient, sufficiency_score, sufficient_reason, AnchorsConfig,
     AnchorsExplainer, ItemVocabulary,
@@ -14,7 +14,7 @@ use xai_rules::{
 pub fn e8(quick: bool) {
     let data = german_credit(if quick { 400 } else { 800 }, 43);
     let model = Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 30, ..GbdtConfig::default() });
-    let fm = proba_fn(&model);
+    let fm = batch_from_scalar(proba_fn(&model));
     let anchors = AnchorsExplainer::fit(&data);
     let n_instances = if quick { 6 } else { 15 };
     let mut table = Table::new(

@@ -47,6 +47,7 @@ use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -539,7 +540,10 @@ impl Running {
     }
 }
 
-fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig) -> XaiResult<Running> {
+/// Spawns one worker on `desc`. Its reader thread sends `()` on `eof`
+/// once the worker's stdout closes, which is how [`await_wave`] learns a
+/// worker finished without polling.
+fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig, eof: &Sender<()>) -> XaiResult<Running> {
     let mut cmd = Command::new(&pool.worker_exe);
     cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::null());
     for (k, v) in &pool.env {
@@ -556,51 +560,61 @@ fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig) -> XaiResult<Running>
         let _ = stdin.write_all(text.as_bytes());
     });
     let mut stdout = child.stdout.take().expect("stdout was piped");
+    let eof = eof.clone();
     let reader = std::thread::spawn(move || {
         let mut out = String::new();
-        stdout.read_to_string(&mut out).map(|_| out)
+        let read = stdout.read_to_string(&mut out).map(|_| out);
+        let _ = eof.send(());
+        read
     });
     Ok(Running { child, shard: desc.shard, status: None, writer: Some(writer), reader: Some(reader) })
 }
 
-/// Waits for every worker in the wave, killing stragglers at the
-/// deadline.
-fn await_wave(wave: &mut [Running], pool: &PoolConfig, completed_before: usize) -> XaiResult<()> {
+/// Waits for every worker in the wave: blocks on the wave's stdout-EOF
+/// channel until each worker has closed its output, then reaps them. A
+/// wave still short of its EOFs at the deadline fails with
+/// [`XaiError::BudgetExceeded`]; the caller kills the stragglers.
+fn await_wave(
+    wave: &mut [Running],
+    eof: &Receiver<()>,
+    pool: &PoolConfig,
+    completed_before: usize,
+) -> XaiResult<()> {
     let start = Instant::now();
-    loop {
-        let mut finished = 0;
-        for r in wave.iter_mut() {
-            if r.status.is_none() {
-                match r.child.try_wait() {
-                    Ok(Some(st)) => r.status = Some(st),
-                    Ok(None) => continue,
-                    Err(e) => {
-                        return Err(XaiError::from_io(
-                            &e,
-                            format_args!("waiting for shard worker {}", r.shard),
-                        ))
-                    }
-                }
-            }
-            finished += 1;
-        }
-        if finished == wave.len() {
-            return Ok(());
-        }
-        if let Some(deadline) = pool.deadline {
-            if start.elapsed() > deadline {
+    for finished in 0..wave.len() {
+        let got = match pool.deadline {
+            Some(deadline) => eof.recv_timeout(deadline.saturating_sub(start.elapsed())),
+            None => eof.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match got {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => {
                 return Err(XaiError::BudgetExceeded {
                     context: format!(
-                        "shard process pool: wave exceeded the {deadline:?} deadline \
+                        "shard process pool: wave exceeded the {:?} deadline \
                          ({finished} of {} workers finished)",
+                        pool.deadline.unwrap_or_default(),
                         wave.len()
                     ),
                     completed: completed_before + finished,
-                });
+                })
+            }
+            Err(RecvTimeoutError::Disconnected) => {
+                return Err(XaiError::io(
+                    IoKind::Other,
+                    "shard worker stdout reader thread exited without reporting EOF",
+                ))
             }
         }
-        std::thread::sleep(Duration::from_millis(5));
     }
+    // Every worker closed stdout, which a worker does by exiting.
+    for r in wave.iter_mut() {
+        let status = r.child.wait().map_err(|e| {
+            XaiError::from_io(&e, format_args!("waiting for shard worker {}", r.shard))
+        })?;
+        r.status = Some(status);
+    }
+    Ok(())
 }
 
 /// Interprets one finished worker: exit status, stdout bytes, envelope
@@ -661,10 +675,13 @@ fn run_pool_descriptors(
     for batch in descs.chunks(pool.max_procs) {
         let mut wave: Vec<Running> = Vec::with_capacity(batch.len());
         let outcome = (|| {
+            let (eof_tx, eof) = channel();
             for desc in batch {
-                wave.push(spawn_worker(desc, pool)?);
+                wave.push(spawn_worker(desc, pool, &eof_tx)?);
             }
-            await_wave(&mut wave, pool, results.len())?;
+            // Only the reader threads hold senders from here on.
+            drop(eof_tx);
+            await_wave(&mut wave, &eof, pool, results.len())?;
             for r in &mut wave {
                 results.push(collect_worker(r)?);
             }

@@ -1,7 +1,7 @@
 //! Random forests: bagged CART trees with random feature subsets.
 
 use crate::traits::{Classifier, Model, Regressor};
-use crate::tree::{DecisionTree, TreeConfig};
+use crate::tree::{batch_round, DecisionTree, TreeConfig};
 use xai_rand::rngs::StdRng;
 use xai_rand::{Rng, SeedableRng};
 use xai_linalg::Matrix;
@@ -74,21 +74,18 @@ impl RandomForest {
         total / self.trees.len() as f64
     }
 
-    /// Batched ensemble average: each tree routes the whole batch at once,
-    /// and per-row accumulation runs in tree order — the same summation
-    /// order as [`RandomForest::predict_value`], hence bit-identical.
+    /// Batched ensemble average: per-row tree sums from `0.0` in tree
+    /// order through the batch kernel, then `/ n_trees` — the same
+    /// summation order as [`RandomForest::predict_value`], hence
+    /// bit-identical.
     pub fn predict_values(&self, x: &Matrix) -> Vec<f64> {
-        let mut acc = vec![0.0; x.rows()];
-        for tree in &self.trees {
-            for (a, v) in acc.iter_mut().zip(tree.predict_values(x)) {
-                *a += v;
-            }
-        }
+        let mut out = Vec::new();
+        batch_round(&self.trees, x, &mut out, |o, v| *o += v);
         let n = self.trees.len() as f64;
-        for a in &mut acc {
-            *a /= n;
+        for o in &mut out {
+            *o /= n;
         }
-        acc
+        out
     }
 }
 

@@ -8,7 +8,7 @@
 // Boosting updates index predictions and rows by the same id.
 #![allow(clippy::needless_range_loop)]
 use crate::traits::{Classifier, Model, Regressor};
-use crate::tree::{DecisionTree, SplitCriterion, TreeConfig};
+use crate::tree::{batch_round, DecisionTree, SplitCriterion, TreeConfig};
 use xai_data::sigmoid;
 use xai_linalg::Matrix;
 
@@ -142,20 +142,16 @@ impl Gbdt {
         self.base_score + self.learning_rate * tree_sum
     }
 
-    /// Margins for every row: each tree routes the whole batch at once,
-    /// accumulating per row in boosting order (the same summation order as
-    /// [`Gbdt::margin`], hence bit-identical).
+    /// Margins for every row: per-row tree sums from `0.0` in boosting
+    /// order through the batch kernel, then `base + lr · sum` — the same
+    /// summation order as [`Gbdt::margin`], hence bit-identical.
     pub fn margin_batch(&self, x: &Matrix) -> Vec<f64> {
-        let mut tree_sums = vec![0.0; x.rows()];
-        for tree in &self.trees {
-            for (a, v) in tree_sums.iter_mut().zip(tree.predict_values(x)) {
-                *a += v;
-            }
+        let mut out = Vec::new();
+        batch_round(&self.trees, x, &mut out, |o, v| *o += v);
+        for o in &mut out {
+            *o = self.base_score + self.learning_rate * *o;
         }
-        tree_sums
-            .into_iter()
-            .map(|s| self.base_score + self.learning_rate * s)
-            .collect()
+        out
     }
 
     /// The fitted trees in boosting order.

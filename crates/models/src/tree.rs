@@ -324,50 +324,81 @@ impl DecisionTree {
         }
     }
 
-    /// Leaf index for every row of `x`, by node-at-a-time traversal: the
-    /// row set moves down the tree together, so each node's split is
-    /// loaded once per *batch* instead of once per row. Routing decisions
-    /// are the same comparisons as [`DecisionTree::leaf_of`], so the
-    /// assignment is identical.
-    pub fn leaves_of(&self, x: &Matrix) -> Vec<usize> {
-        let mut leaves = vec![0usize; x.rows()];
-        if x.rows() == 0 {
-            return leaves;
-        }
-        let mut frontier: Vec<(usize, Vec<usize>)> = vec![(0, (0..x.rows()).collect())];
-        while let Some((id, members)) = frontier.pop() {
-            let node = &self.nodes[id];
-            match (node.left, node.right) {
+    /// Raw value predictions for every row through the batch tree kernel
+    /// (DESIGN.md §5): bit-identical to [`DecisionTree::predict_value`]
+    /// per row.
+    pub fn predict_values(&self, x: &Matrix) -> Vec<f64> {
+        let mut out = Vec::new();
+        batch_round(std::slice::from_ref(self), x, &mut out, |o, v| *o = v);
+        out
+    }
+}
+
+/// One node of [`batch_round`]'s flattened walk table. A leaf is its own
+/// child on both sides and keeps an in-range `feature`, so a walk that
+/// reaches it early stays put for the remaining steps.
+#[derive(Clone, Copy)]
+struct WalkNode {
+    threshold: f64,
+    feature: u32,
+    left: u32,
+    right: u32,
+}
+
+/// Batched tree-ensemble prediction: for every row of `x` and every tree,
+/// finds the leaf the tree assigns the row and calls
+/// `apply(&mut out[row], leaf value)`, trees in slice order. `out` is
+/// first reset to `x.rows()` zeros.
+///
+/// Each tree is flattened into a walk table whose leaves loop to
+/// themselves, so every row takes exactly `depth()` steps, and the walk
+/// goes level by level over the whole batch: one pass over the rows per
+/// level, with no per-node allocation.
+///
+/// Bit-identity: each step makes the comparison `x[f] <= t` that
+/// [`DecisionTree::leaf_of`] makes, so every row lands in the same leaf,
+/// and each output slot receives its trees' values in slice order — so an
+/// accumulating `apply` sums in boosting/tree order, as the per-row walk
+/// does.
+pub(crate) fn batch_round(
+    trees: &[DecisionTree],
+    x: &Matrix,
+    out: &mut Vec<f64>,
+    mut apply: impl FnMut(&mut f64, f64),
+) {
+    let (n, d) = x.shape();
+    out.clear();
+    out.resize(n, 0.0);
+    let mut table = Vec::new();
+    let mut at = vec![0u32; n];
+    let data = x.as_slice();
+    for tree in trees {
+        table.clear();
+        for (id, node) in tree.nodes.iter().enumerate() {
+            table.push(match (node.left, node.right) {
                 (Some(l), Some(r)) => {
-                    let mut left = Vec::new();
-                    let mut right = Vec::new();
-                    for i in members {
-                        if x.row(i)[node.feature] <= node.threshold {
-                            left.push(i);
-                        } else {
-                            right.push(i);
-                        }
-                    }
-                    if !left.is_empty() {
-                        frontier.push((l, left));
-                    }
-                    if !right.is_empty() {
-                        frontier.push((r, right));
-                    }
+                    let f = node.feature;
+                    assert!(f < d, "split feature {f} out of range for {d} columns");
+                    let (feature, left, right) = (f as u32, l as u32, r as u32);
+                    WalkNode { threshold: node.threshold, feature, left, right }
                 }
-                _ => {
-                    for i in members {
-                        leaves[i] = id;
-                    }
-                }
+                _ => WalkNode { threshold: 0.0, feature: 0, left: id as u32, right: id as u32 },
+            });
+        }
+        at.fill(0);
+        for _ in 0..tree.depth() {
+            for (i, a) in at.iter_mut().enumerate() {
+                let node = table[*a as usize];
+                *a = if data[i * d + node.feature as usize] <= node.threshold {
+                    node.left
+                } else {
+                    node.right
+                };
             }
         }
-        leaves
-    }
-
-    /// Raw value predictions for every row via [`DecisionTree::leaves_of`].
-    pub fn predict_values(&self, x: &Matrix) -> Vec<f64> {
-        self.leaves_of(x).into_iter().map(|leaf| self.nodes[leaf].value).collect()
+        for (o, &a) in out.iter_mut().zip(&at) {
+            apply(o, tree.nodes[a as usize].value);
+        }
     }
 }
 

@@ -5,7 +5,7 @@ use xai_linalg::Matrix;
 use xai_models::{
     Classifier, DecisionTree, ForestConfig, GaussianNb, Gbdt, GbdtConfig, GbdtLoss, Knn,
     LinearConfig, LinearRegression, LogisticConfig, LogisticRegression, Mlp, MlpConfig, MlpTask,
-    RandomForest, Regressor, SplitCriterion, TreeConfig,
+    RandomForest, Regressor, SplitCriterion, TreeConfig, TreeNode,
 };
 use xai_rand::property::{cases, vec_in};
 use xai_rand::rngs::StdRng;
@@ -188,7 +188,62 @@ fn tree_ensemble_batch_paths_are_bit_identical() {
             assert_regressor_batch_exact(&gbdt, &probes, "gbdt");
             assert_classifier_batch_exact(&gbdt, &probes, "gbdt");
         }
+
+        // A batch past two 64-row words, and ensembles fit on it deep
+        // enough to reach depth 8, where early leaves idle for many steps.
+        let rows = rng.gen_range(130..=200);
+        let wide = Matrix::from_vec(rows, d, vec_in(rng, rows * d, -6.0, 6.0));
+        let labels: Vec<f64> = (0..rows).map(|_| f64::from(rng.gen::<bool>())).collect();
+        let mut probes = probes;
+        probes.push(wide.clone());
+        assert_regressor_batch_exact(&tree, &probes, "tree");
+        assert_regressor_batch_exact(&forest, &probes, "forest");
+        let deep = RandomForest::fit(
+            &wide,
+            &labels,
+            ForestConfig { n_trees: 5, seed: 4, ..ForestConfig::default() },
+        );
+        assert!(deep.trees().iter().any(|t| t.depth() == 8), "forest never reached depth 8");
+        assert_regressor_batch_exact(&deep, &probes, "deep forest");
+        assert_classifier_batch_exact(&deep, &probes, "deep forest");
+
+        // A single leaf (constant targets) and a depth-1 stump.
+        let leaf = DecisionTree::fit(&wide, &vec![1.0; rows], TreeConfig::default());
+        assert_eq!(leaf.depth(), 0);
+        assert_regressor_batch_exact(&leaf, &probes, "single leaf");
+        let stump = DecisionTree::fit(&wide, &labels, TreeConfig { max_depth: 1, ..TreeConfig::default() });
+        assert_eq!(stump.depth(), 1);
+        assert_regressor_batch_exact(&stump, &probes, "stump");
+        assert_classifier_batch_exact(&stump, &probes, "stump");
     });
+
+    // A hand-built tree, x0 <= 0 → (x0 <= -2 → 0.1 | 0.4) else 0.9: one
+    // feature, two thresholds, leaves at depths 1 and 2, and leaf
+    // `feature` fields out of range.
+    let node = |feature, threshold, left, right, value| TreeNode {
+        feature,
+        threshold,
+        left,
+        right,
+        value,
+        cover: 1.0,
+    };
+    let tree = DecisionTree::from_parts(
+        vec![
+            node(0, 0.0, Some(1), Some(4), 0.5),
+            node(0, -2.0, Some(2), Some(3), 0.3),
+            node(7, 0.0, None, None, 0.1),
+            node(7, 0.0, None, None, 0.4),
+            node(7, 0.0, None, None, 0.9),
+        ],
+        2,
+        SplitCriterion::Gini,
+    );
+    // Exact thresholds go left; NaN goes right at every split.
+    let column = [-3.0, -2.0, -1.0, 0.0, 1.0, f64::NAN, -0.0, 2.0];
+    let probe = Matrix::from_fn(column.len(), 2, |i, j| if j == 0 { column[i] } else { 5.0 });
+    assert_eq!(tree.predict_values(&probe), vec![0.1, 0.1, 0.4, 0.4, 0.9, 0.9, 0.4, 0.9]);
+    assert_regressor_batch_exact(&tree, &[probe], "hand-built tree");
 }
 
 #[test]

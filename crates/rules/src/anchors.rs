@@ -10,11 +10,12 @@
 //! bandit routine the paper uses ("a multi-armed bandit-based algorithm to
 //! search for these rules").
 
-use crate::itemset::{Item, ItemVocabulary};
+use crate::itemset::{Item, ItemPredicate, ItemVocabulary};
 use xai_rand::rngs::StdRng;
 use xai_rand::{Rng, SeedableRng};
 use xai_core::RuleExplanation;
 use xai_data::Dataset;
+use xai_linalg::Matrix;
 
 /// Configuration for [`AnchorsExplainer::explain`].
 #[derive(Clone, Copy, Debug)]
@@ -45,14 +46,15 @@ impl Default for AnchorsConfig {
 }
 
 /// Fitted Anchors explainer: holds the item vocabulary and the training
-/// columns used as the perturbation distribution.
+/// columns, which are both the perturbation distribution and the rows
+/// coverage is measured on.
 #[derive(Clone, Debug)]
 pub struct AnchorsExplainer {
     vocab: ItemVocabulary,
     /// Per-feature pools of training values (the sampling distribution).
     columns: Vec<Vec<f64>>,
-    /// Training rows (for coverage measurement).
-    rows: Vec<Vec<f64>>,
+    /// Number of training rows (each column's length).
+    n_rows: usize,
 }
 
 /// Bernoulli KL divergence.
@@ -92,11 +94,22 @@ fn kl_lcb(p_hat: f64, level: f64) -> f64 {
     hi
 }
 
-/// Per-arm bandit statistics.
-#[derive(Clone, Debug, Default)]
+/// Per-arm bandit statistics. The KL bounds are pure functions of
+/// `(pulls, successes, delta)`, so they are computed once per pull and
+/// cached rather than re-bisected at every comparison.
+#[derive(Clone, Debug)]
 struct Arm {
     pulls: f64,
     successes: f64,
+    lcb: f64,
+    ucb: f64,
+}
+
+impl Default for Arm {
+    fn default() -> Self {
+        // An unpulled arm has an infinite exploration level: [0, 1].
+        Self { pulls: 0.0, successes: 0.0, lcb: 0.0, ucb: 1.0 }
+    }
 }
 
 impl Arm {
@@ -107,30 +120,23 @@ impl Arm {
             self.successes / self.pulls
         }
     }
-    fn level(&self, delta: f64) -> f64 {
-        // Standard KL-LUCB exploration rate: log(1/δ)·(1 + o(1)) / pulls.
+
+    /// Records one pull and refreshes the cached bounds.
+    fn pull(&mut self, hits: f64, n: f64, delta: f64) {
+        self.successes += hits;
+        self.pulls += n;
         if self.pulls == 0.0 {
-            f64::INFINITY
-        } else {
-            ((1.0 / delta).ln() + 3.0 * (self.pulls.max(std::f64::consts::E)).ln().ln().max(0.0))
-                / self.pulls
+            return;
         }
-    }
-    fn ucb(&self, delta: f64) -> f64 {
-        let l = self.level(delta);
-        if l.is_infinite() {
-            1.0
+        // Standard KL-LUCB exploration rate: log(1/δ)·(1 + o(1)) / pulls.
+        let level = ((1.0 / delta).ln()
+            + 3.0 * (self.pulls.max(std::f64::consts::E)).ln().ln().max(0.0))
+            / self.pulls;
+        (self.lcb, self.ucb) = if level.is_infinite() {
+            (0.0, 1.0)
         } else {
-            kl_ucb(self.mean(), l)
-        }
-    }
-    fn lcb(&self, delta: f64) -> f64 {
-        let l = self.level(delta);
-        if l.is_infinite() {
-            0.0
-        } else {
-            kl_lcb(self.mean(), l)
-        }
+            (kl_lcb(self.mean(), level), kl_ucb(self.mean(), level))
+        };
     }
 }
 
@@ -139,81 +145,84 @@ impl AnchorsExplainer {
     pub fn fit(data: &Dataset) -> Self {
         let vocab = ItemVocabulary::build(data);
         let columns = (0..data.n_features()).map(|j| data.x().col(j)).collect();
-        let rows = (0..data.n_rows()).map(|i| data.row(i).to_vec()).collect();
-        Self { vocab, columns, rows }
+        Self { vocab, columns, n_rows: data.n_rows() }
     }
 
-    /// Samples one perturbation: anchored features are drawn from training
-    /// values *satisfying their predicate*; free features from the full
-    /// column distribution.
-    fn sample_row(&self, anchor: &[Item], rng: &mut StdRng, buf: &mut [f64]) {
-        let anchored: Vec<(usize, Item)> = anchor
-            .iter()
-            .map(|&it| (self.vocab.predicate(it).feature(), it))
-            .collect();
+    /// The predicates behind an anchor's items, in anchor order.
+    fn predicates(&self, anchor: &[Item]) -> Vec<&ItemPredicate> {
+        anchor.iter().map(|&it| self.vocab.predicate(it)).collect()
+    }
+
+    /// Samples one perturbation into `buf`: anchored features are drawn
+    /// from training values *satisfying their predicate*; free features
+    /// from the full column distribution.
+    fn sample_row(&self, anchored: &[&ItemPredicate], rng: &mut StdRng, buf: &mut [f64]) {
         for (j, col) in self.columns.iter().enumerate() {
             buf[j] = col[rng.gen_range(0..col.len())];
         }
-        for &(feature, item) in &anchored {
+        for pred in anchored {
             // Rejection-sample a training value satisfying the predicate.
-            let pred = self.vocab.predicate(item);
-            let col = &self.columns[feature];
-            let mut probe = vec![0.0; buf.len()];
+            let col = &self.columns[pred.feature()];
             for _ in 0..200 {
                 let v = col[rng.gen_range(0..col.len())];
-                probe[feature] = v;
-                if pred.matches(&probe) {
-                    buf[feature] = v;
+                if pred.matches_value(v) {
+                    buf[pred.feature()] = v;
                     break;
                 }
             }
         }
     }
 
-    /// Estimated precision of an anchor from `n` fresh samples.
+    /// Estimated precision of an anchor from `n` fresh samples: the rows
+    /// are drawn in stream order into one matrix, then evaluated in one
+    /// model call.
     fn precision(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         target_class: bool,
         anchor: &[Item],
         n: usize,
         rng: &mut StdRng,
     ) -> (f64, f64) {
-        let d = self.columns.len();
-        let mut buf = vec![0.0; d];
-        let mut hits = 0.0;
-        for _ in 0..n {
-            self.sample_row(anchor, rng, &mut buf);
-            if (model(&buf) >= 0.5) == target_class {
-                hits += 1.0;
-            }
+        let anchored = self.predicates(anchor);
+        let mut rows = Matrix::zeros(n, self.columns.len());
+        for i in 0..n {
+            self.sample_row(&anchored, rng, rows.row_mut(i));
         }
-        (hits, n as f64)
+        let outputs = model(&rows);
+        assert_eq!(outputs.len(), n, "model returned {} outputs for {n} rows", outputs.len());
+        let hits = outputs.into_iter().filter(|&p| (p >= 0.5) == target_class).count();
+        (hits as f64, n as f64)
     }
 
-    /// Fraction of training rows satisfying the anchor.
+    /// Fraction of training rows satisfying the anchor, read off the
+    /// anchored features' columns.
     fn coverage(&self, anchor: &[Item]) -> f64 {
-        if self.rows.is_empty() {
+        if self.n_rows == 0 {
             return 0.0;
         }
-        let hit = self
-            .rows
-            .iter()
-            .filter(|r| anchor.iter().all(|&it| self.vocab.predicate(it).matches(r)))
+        let anchored = self.predicates(anchor);
+        let hit = (0..self.n_rows)
+            .filter(|&i| anchored.iter().all(|p| p.matches_value(self.columns[p.feature()][i])))
             .count();
-        hit as f64 / self.rows.len() as f64
+        hit as f64 / self.n_rows as f64
     }
 
-    /// Finds an anchor for the model's prediction on `instance`.
+    /// Finds an anchor for the model's prediction on `instance`, through
+    /// the model's batched surface (`xai_models::batch_proba_fn`, or
+    /// `batch_from_scalar` over a scalar closure). Every bandit pull
+    /// draws its rows from the one `seed_from_u64(seed)` stream and
+    /// evaluates them in one model call; the target class comes from a
+    /// one-row batch.
     pub fn explain(
         &self,
-        model: &dyn Fn(&[f64]) -> f64,
+        model: &dyn Fn(&Matrix) -> Vec<f64>,
         instance: &[f64],
         config: AnchorsConfig,
         seed: u64,
     ) -> RuleExplanation {
         let mut rng = StdRng::seed_from_u64(seed);
-        let target_class = model(instance) >= 0.5;
+        let target_class = model(&Matrix::from_vec(1, instance.len(), instance.to_vec()))[0] >= 0.5;
         // Candidate items: the instance's own transaction.
         let candidates = self.vocab.transaction(instance);
 
@@ -247,8 +256,7 @@ impl AnchorsExplainer {
                     let mut challenger = usize::MAX;
                     for (i, a) in arms.iter().enumerate() {
                         if i != best
-                            && (challenger == usize::MAX
-                                || a.ucb(config.delta) > arms[challenger].ucb(config.delta))
+                            && (challenger == usize::MAX || a.ucb > arms[challenger].ucb)
                         {
                             challenger = i;
                         }
@@ -268,13 +276,12 @@ impl AnchorsExplainer {
                         break;
                     }
                     let (h, p) = self.precision(model, target_class, &trial, n, &mut rng);
-                    arms[idx].successes += h;
-                    arms[idx].pulls += p;
+                    arms[idx].pull(h, p, config.delta);
                     budget = budget.saturating_sub(n);
                 }
                 // Separation test.
                 if challenger_idx != usize::MAX
-                    && arms[best_idx].lcb(config.delta) > arms[challenger_idx].ucb(config.delta)
+                    && arms[best_idx].lcb > arms[challenger_idx].ucb
                 {
                     break;
                 }
@@ -290,7 +297,7 @@ impl AnchorsExplainer {
                 .map(|(i, _)| i)
                 .expect("non-empty arms");
             anchor.push(unused[best]);
-            if arms[best].lcb(config.delta) >= config.precision_target {
+            if arms[best].lcb >= config.precision_target {
                 break;
             }
         }
@@ -315,7 +322,7 @@ impl AnchorsExplainer {
 mod tests {
     use super::*;
     use xai_data::synth::german_credit;
-    use xai_models::{proba_fn, Gbdt, GbdtConfig};
+    use xai_models::{batch_from_scalar, batch_proba_fn, proba_fn, Gbdt, GbdtConfig};
 
     #[test]
     fn kl_bounds_bracket_the_mean() {
@@ -337,7 +344,7 @@ mod tests {
     fn anchor_on_threshold_model_finds_the_threshold_feature() {
         let data = german_credit(600, 43);
         // Model: approve iff no defaults (feature 6 == 0).
-        let model = |x: &[f64]| f64::from(x[6] < 0.5);
+        let model = batch_from_scalar(|x: &[f64]| f64::from(x[6] < 0.5));
         let anchors = AnchorsExplainer::fit(&data);
         // Pick an instance with zero defaults.
         let idx = (0..data.n_rows()).find(|&i| data.row(i)[6] == 0.0).unwrap();
@@ -355,14 +362,14 @@ mod tests {
     fn anchor_precision_exceeds_unanchored_rate() {
         let data = german_credit(700, 47);
         let gbdt = Gbdt::fit(data.x(), data.y(), GbdtConfig { n_rounds: 30, ..GbdtConfig::default() });
-        let f = proba_fn(&gbdt);
+        let f = batch_proba_fn(&gbdt);
         let anchors = AnchorsExplainer::fit(&data);
         let instance = data.row(0);
         let rule = anchors.explain(&f, instance, AnchorsConfig::default(), 9);
         // Baseline: precision of the empty anchor (= class base rate under
         // full perturbation).
         let mut rng = StdRng::seed_from_u64(11);
-        let target = f(instance) >= 0.5;
+        let target = proba_fn(&gbdt)(instance) >= 0.5;
         let (h, p) = anchors.precision(&f, target, &[], 2000, &mut rng);
         let base_rate = h / p;
         assert!(
@@ -376,7 +383,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let data = german_credit(300, 51);
-        let model = |x: &[f64]| f64::from(x[1] > 2500.0);
+        let model = batch_from_scalar(|x: &[f64]| f64::from(x[1] > 2500.0));
         let anchors = AnchorsExplainer::fit(&data);
         let a = anchors.explain(&model, data.row(0), AnchorsConfig::default(), 5);
         let b = anchors.explain(&model, data.row(0), AnchorsConfig::default(), 5);

@@ -9,7 +9,10 @@
 //! the shard layer partitions. Decision-set mining is a deterministic
 //! pass with no random draws, so every execution plan returns the same
 //! rule set. A `SampleBudget` is rejected as [`XaiError::Unsupported`]
-//! by both methods.
+//! by both methods. Anchors evaluates every bandit pull in one
+//! `predict_batch` call, in `explain` and `explain_chunks` alike;
+//! `RunConfig::batched` does not select its surface, since the batched
+//! and the scalar surface return the same bits.
 
 use xai_core::shard::{
     arr_field, chunks_json, flatten_chunks, index_field, num_field, str_field, wire_error,
@@ -20,6 +23,7 @@ use xai_core::{
     catch_model, validate, Condition, ExplainRequest, Explainer, Explanation, Json, MethodCard,
     ModelOracle, Op, RuleExplanation, XaiError, XaiResult,
 };
+use xai_linalg::Matrix;
 use xai_rand::child_seed;
 use xai_rand::parallel::try_par_map_seeded;
 
@@ -158,7 +162,7 @@ impl Explainer for AnchorsMethod {
         validate::finite_slice("Anchors instance", instance)?;
         validate::finite_matrix("Anchors dataset", req.data.x())?;
         let explainer = AnchorsExplainer::fit(req.data);
-        let f = |x: &[f64]| model.predict(x);
+        let f = |x: &Matrix| model.predict_batch(x);
         let rule = if req.plan.parallel() {
             let pool = self.pool.max(1);
             let rules = try_par_map_seeded(pool, req.plan.seed, req.plan.workers, |p, _rng| {
@@ -223,7 +227,7 @@ impl ShardableExplainer for AnchorsMethod {
         validate::finite_slice("Anchors instance", instance)?;
         validate::finite_matrix("Anchors dataset", req.data.x())?;
         let explainer = AnchorsExplainer::fit(req.data);
-        let f = |x: &[f64]| model.predict(x);
+        let f = |x: &Matrix| model.predict_batch(x);
         let mut out = Vec::with_capacity(chunks.len());
         for c in chunks {
             let rule = catch_model("Anchors bandit search", || {

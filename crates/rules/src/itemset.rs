@@ -47,12 +47,16 @@ impl ItemPredicate {
 
     /// Whether a raw row satisfies the predicate.
     pub fn matches(&self, row: &[f64]) -> bool {
+        self.matches_value(row[self.feature()])
+    }
+
+    /// Whether a value of [`ItemPredicate::feature`] satisfies the
+    /// predicate — the comparison [`ItemPredicate::matches`] makes on
+    /// `row[feature]`.
+    pub fn matches_value(&self, v: f64) -> bool {
         match self {
-            ItemPredicate::NumericBin { feature, lo, hi, .. } => {
-                let v = row[*feature];
-                v > *lo && v <= *hi
-            }
-            ItemPredicate::Category { feature, code } => row[*feature].round() as usize == *code,
+            ItemPredicate::NumericBin { lo, hi, .. } => v > *lo && v <= *hi,
+            ItemPredicate::Category { code, .. } => v.round() as usize == *code,
         }
     }
 }

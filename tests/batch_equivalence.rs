@@ -1,8 +1,9 @@
 //! Batched-path equivalence harness.
 //!
 //! The batched inference path (`predict_batch` → `BatchPredictionGame`,
-//! or a batched surface handed to LIME / PDP) is a *performance* feature:
-//! it must change wall-clock time and nothing else. Each estimator has one
+//! or a batched surface handed to LIME / PDP / Anchors) is a
+//! *performance* feature: it must change wall-clock time and nothing
+//! else. Each estimator has one
 //! sequential core and one chunk-grid core, and this suite runs both over
 //! the scalar and the batched game (or surface) for every model family ×
 //! Monte-Carlo explainer pair — the estimate is **bit-identical** at the
@@ -25,6 +26,9 @@ use xai_shapley::{
     kernel_shap, permutation_shapley, try_kernel_shap_grid, try_permutation_shapley_grid,
     BatchPredictionGame, CachedGame, KernelShapConfig, PredictionGame,
 };
+use xai_core::{ExplainRequest, Explainer, Explanation, ModelOracle, RunConfig};
+use xai_rand::child_seed;
+use xai_rules::{AnchorsConfig, AnchorsExplainer, AnchorsMethod};
 use xai_surrogate::{feature_grid, partial_dependence, LimeConfig, LimeExplainer};
 
 fn credit() -> Dataset {
@@ -91,9 +95,9 @@ where
     assert!(hits > 0, "{name}: memo cache never hit");
 }
 
-/// LIME and PDP through the batched model surface, bit-identical to the
-/// scalar loop over rows (`batch_from_scalar`), for LIME's sequential and
-/// chunk-grid cores alike.
+/// LIME, PDP and Anchors through the batched model surface, bit-identical
+/// to the scalar loop over rows (`batch_from_scalar`), for LIME's
+/// sequential and chunk-grid cores alike.
 fn assert_surrogates_bit_identical<F, B>(name: &str, f: &F, bf: &B, data: &Dataset)
 where
     F: Fn(&[f64]) -> f64 + Sync,
@@ -121,6 +125,11 @@ where
     let pb = partial_dependence(bf, data, 1, &grid, 40, true);
     assert_eq!(pa.pdp, pb.pdp, "{name}: batched PDP diverged");
     assert_eq!(pa.ice, pb.ice, "{name}: batched ICE diverged");
+
+    let anchors = AnchorsExplainer::fit(data);
+    let ra = anchors.explain(&sf, data.row(4), AnchorsConfig::default(), 13);
+    let rb = anchors.explain(bf, data.row(4), AnchorsConfig::default(), 13);
+    assert_eq!(ra, rb, "{name}: batched Anchors diverged");
 }
 
 #[test]
@@ -168,6 +177,7 @@ fn tree_ensemble_batched_explainers_are_bit_identical() {
     let f = proba_fn(&gbdt);
     let bf = batch_proba_fn(&gbdt);
     assert_explainers_bit_identical("gbdt", &f, &bf, instance, &bg);
+    assert_surrogates_bit_identical("gbdt", &f, &bf, &data);
 }
 
 #[test]
@@ -242,4 +252,95 @@ fn cached_utility_preserves_tmc_and_banzhaf_bits() {
     let b1 = try_data_banzhaf_parallel(&cached, bz_cfg, 1).unwrap();
     let b4 = try_data_banzhaf_parallel(&cached, bz_cfg, 4).unwrap();
     assert_eq!(b1.values, b4.values, "parallel Banzhaf not worker-invariant under memo");
+}
+
+// ---------------------------------------------------------------------------
+// Anchors through the oracle, and its pinned rule bytes
+// ---------------------------------------------------------------------------
+
+/// `(model, instance row, seed)` cases pinned by
+/// `tests/fixtures/anchors_rules.json`.
+const ANCHOR_CASES: &[(&str, usize, u64)] = &[
+    ("logistic", 0, 3),
+    ("logistic", 17, 8),
+    ("gbdt", 2, 5),
+    ("gbdt", 23, 1),
+    ("forest", 9, 4),
+    ("forest", 31, 6),
+];
+
+fn anchor_model(name: &str, data: &Dataset) -> Box<dyn ModelOracle> {
+    match name {
+        "logistic" => Box::new(LogisticRegression::fit(data.x(), data.y(), LogisticConfig::default())),
+        "gbdt" => Box::new(Gbdt::fit(data.x(), data.y(), GbdtConfig::default())),
+        "forest" => Box::new(RandomForest::fit(
+            data.x(),
+            data.y(),
+            ForestConfig { n_trees: 10, seed: 2, ..Default::default() },
+        )),
+        other => unreachable!("no anchors fixture model '{other}'"),
+    }
+}
+
+fn anchors_rule(model: &dyn ModelOracle, data: &Dataset, row: usize, plan: RunConfig) -> Explanation {
+    let req = ExplainRequest::new(data).instance(data.row(row)).plan(plan);
+    AnchorsMethod::default().explain(model, &req).unwrap()
+}
+
+#[test]
+fn anchors_method_matches_the_scalar_search_at_every_worker_count() {
+    let data = credit();
+    let method = AnchorsMethod::default();
+    for name in ["logistic", "gbdt", "forest"] {
+        let model = anchor_model(name, &data);
+        let scalar = batch_from_scalar(|x: &[f64]| model.predict(x));
+        let anchors = AnchorsExplainer::fit(&data);
+        let search = |seed| anchors.explain(&scalar, data.row(7), method.config, seed);
+        let single = search(21);
+        // The pool runs candidate `p` at `child_seed(seed, p)` and keeps
+        // the most precise rule.
+        let pool: Vec<_> = (0..method.pool as u64).map(|p| search(child_seed(21, p))).collect();
+        let best = pool.iter().map(|r| r.precision).fold(f64::NEG_INFINITY, f64::max);
+        for batched in [false, true] {
+            let plan = RunConfig::seeded(21).with_batched(batched);
+            let got = anchors_rule(model.as_ref(), &data, 7, plan.clone());
+            assert_eq!(got.as_rules().unwrap(), std::slice::from_ref(&single), "{name}: workers 1");
+            let got = anchors_rule(model.as_ref(), &data, 7, plan.with_workers(2));
+            let rule = &got.as_rules().unwrap()[0];
+            assert!(pool.contains(rule), "{name}: workers 2 returned a rule outside the pool");
+            assert_eq!(rule.precision, best, "{name}: workers 2 missed the pool's best rule");
+        }
+    }
+}
+
+/// The pinned cases' rule JSON, one line per case and worker count.
+fn anchors_fixture_text() -> String {
+    let data = credit();
+    let mut lines = Vec::new();
+    for &(name, row, seed) in ANCHOR_CASES {
+        let model = anchor_model(name, &data);
+        for workers in [1, 2] {
+            let plan = RunConfig::seeded(seed).with_workers(workers);
+            lines.push(format!(
+                r#"{{"model":"{name}","row":{row},"seed":{seed},"workers":{workers},"explanation":{}}}"#,
+                anchors_rule(model.as_ref(), &data, row, plan).to_json_string()
+            ));
+        }
+    }
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+/// The fixture holds the rules Anchors produced when every sample was its
+/// own scalar model call; batching the bandit's pulls must not move a
+/// byte. Rewrite it with `XAI_REGEN_GOLDEN=1` only for an intentional
+/// change of the search.
+#[test]
+fn anchors_rules_match_the_pinned_fixture() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/anchors_rules.json");
+    let text = anchors_fixture_text();
+    if std::env::var_os("XAI_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, &text).unwrap();
+    }
+    let pinned = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(text, pinned, "Anchors rule bytes drifted from the pinned fixture");
 }

@@ -90,7 +90,8 @@ fn counterfactual_and_anchor_are_mutually_consistent() {
 
     // The anchor pins the *current* (negative) prediction…
     let anchors = AnchorsExplainer::fit(&train);
-    let rule = anchors.explain(&f, x, AnchorsConfig::default(), 3);
+    let surface = xai::models::batch_from_scalar(&f);
+    let rule = anchors.explain(&surface, x, AnchorsConfig::default(), 3);
     assert_eq!(rule.prediction, 0.0);
     assert!(rule.matches(x));
 
@@ -114,7 +115,8 @@ fn json_reports_serialize_every_explanation_kind() {
 
     let f = proba_fn(&model);
     let anchors = AnchorsExplainer::fit(&train);
-    let rule = anchors.explain(&f, test.row(0), AnchorsConfig::default(), 1);
+    let surface = xai::models::batch_from_scalar(&f);
+    let rule = anchors.explain(&surface, test.row(0), AnchorsConfig::default(), 1);
     assert!(rule.to_report().to_json().contains("\"kind\":\"rule\""));
 
     let values = knn_shapley(&train, &test, 5);

@@ -372,12 +372,10 @@ fn rule_methods_match_their_legacy_entry_points() {
     let f = proba_fn(&model);
 
     let anchors = AnchorsExplainer::fit(&data);
-    let legacy = anchors.explain(&f, &row, AnchorsConfig::default(), 13);
+    let legacy = anchors.explain(&batch_from_scalar(&f), &row, AnchorsConfig::default(), 13);
     let req = ExplainRequest::new(&data).instance(&row).plan(RunConfig::seeded(13));
     let got = AnchorsMethod::default().explain(&model, &req).unwrap();
-    let rule = &got.as_rules().unwrap()[0];
-    assert_eq!(rule.conditions.len(), legacy.conditions.len());
-    assert_eq!(rule.prediction, legacy.prediction);
+    assert_eq!(got.as_rules().unwrap(), std::slice::from_ref(&legacy));
 
     use xai_models::Classifier;
     let labels: Vec<f64> = (0..data.n_rows())

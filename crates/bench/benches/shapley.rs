@@ -12,8 +12,8 @@ use xai_models::{
 use xai_rand::parallel::default_workers;
 use xai_shapley::{
     brute_force_tree_shap, exact_shapley, gbdt_shap, kernel_shap, permutation_shapley, tree_shap,
-    try_permutation_shapley_grid, BatchPredictionGame, CachedGame, KernelShapConfig,
-    MaskedPredictionGame, MemoGame, PredictionGame,
+    try_permutation_shapley_grid, BatchPredictionGame, KernelShapConfig, MaskedPredictionGame,
+    MemoGame, PredictionGame,
 };
 
 /// E1: exact enumeration cost doubles per feature; samplers stay flat.
@@ -94,8 +94,11 @@ fn bench_kernel_shap_batched() {
         let cfg = KernelShapConfig { max_coalitions: 512, ..Default::default() };
         let scalar = group.bench(&format!("scalar/{d}"), || kernel_shap(&game, cfg));
         let batched = group.bench(&format!("batched/{d}"), || kernel_shap(&batch_game, cfg));
-        // Warm memo across samples: after the first run every coalition hits.
-        let cached_game = CachedGame::new(&batch_game);
+        // Warm memo across samples: after the first run every coalition
+        // hits (room for all 2^9 coalitions, so nothing is evicted).
+        let cached_memo = CoalitionMemo::new(1 << 9);
+        let cached_game =
+            MemoGame::new(&batch_game, &cached_memo, GameKey::derive(0, &background, &instance));
         group.bench(&format!("batched_cached/{d}"), || kernel_shap(&cached_game, cfg));
         // Zero-copy masked path: at d = 9 the fold is the identity, so the
         // logistic model itself is the oracle and coalitions run straight
@@ -105,7 +108,7 @@ fn bench_kernel_shap_batched() {
         let oracle: &dyn ModelOracle = if d == 9 { model_ref } else { &fold_oracle };
         let masked_game = MaskedPredictionGame::new(oracle, &instance, &background);
         let masked = group.bench(&format!("masked/{d}"), || kernel_shap(&masked_game, cfg));
-        // Warm cross-request memo, shared across samples like CachedGame.
+        // Warm cross-request memo, shared across samples.
         let memo = CoalitionMemo::new(1 << 14);
         let memo_game =
             MemoGame::new(&masked_game, &memo, GameKey::derive(1, &background, &instance));

@@ -4,9 +4,10 @@
 //! ([`crate::shard::explain_sharded`]), the OS-process pool (the facade's
 //! `explain_process_pool`), and the TCP cluster
 //! ([`crate::transport::ClusterRunner`]) — each hand-rolling the same
-//! "cut the request into [`ShardDescriptor`]s, execute them somewhere,
-//! merge the partials bit-identically" loop. This module owns that
-//! contract once: [`ExecutionBackend`] is an object-safe trait over a
+//! "cut the request into
+//! [`ShardDescriptor`](crate::shard::ShardDescriptor)s, execute them
+//! somewhere, merge the partials bit-identically" loop. This module owns
+//! that contract once: [`ExecutionBackend`] is an object-safe trait over a
 //! [`BackendJob`] (explainer + model + request + shard count), and
 //! [`LocalBackend`], [`ProcessPoolBackend`] and [`ClusterBackend`] are
 //! its three implementations. The legacy entry points are thin
@@ -20,10 +21,12 @@
 //! `workers > 1` parallel path, which shares the chunk grid) for every
 //! shard count, every backend, and every fault schedule. Where work runs
 //! is an operational choice; what it computes never is. That determinism
-//! is also what makes the [`ShardCache`] sound: a shard's result is a
-//! pure function of (model fingerprint, descriptor bytes), so a hedged,
-//! retried, or repeated shard can be answered from cache without risking
-//! a wrong byte.
+//! is also what makes the [`ShardCache`] possible: a shard's result is a
+//! pure function of its descriptor bytes, so a hedged, retried, or
+//! repeated shard can be answered from cache. The shard cache is one
+//! exact-LRU [`Cache`] keyed on 64-bit FNV-1a hashes of the model
+//! fingerprint and the encoded descriptor ([`descriptor_cache_key`]); it
+//! keeps no descriptor bytes, so it trusts those hashes not to collide.
 //!
 //! Failure semantics per backend:
 //!
@@ -42,15 +45,14 @@
 //!   that *ran* the shard) are deterministic and are never retried or
 //!   degraded.
 
-use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::cache::{Cache, CacheStats};
 use crate::error::{IoKind, XaiError, XaiResult};
 use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
 use crate::json_parse::parse_json;
@@ -58,7 +60,7 @@ use crate::report::Json;
 use crate::serve::fingerprint_bytes;
 use crate::shard::{
     build_descriptors, error_from_json, is_error_envelope, merge_shard_results,
-    shard_chunk_ranges, wire_error, ShardDescriptor, ShardResult, ShardableExplainer,
+    shard_chunk_ranges, wire_error, ShardResult, ShardableExplainer,
 };
 use crate::transport::{ClusterRunner, FallbackPolicy};
 use xai_rand::parallel::try_par_map_seeded;
@@ -93,7 +95,8 @@ impl BackendKind {
 /// Where a run should execute, as carried by
 /// [`crate::explainer::RunConfig::backend`]. `Local` is the default and
 /// the only choice that needs no shard count; the remote choices name
-/// how many [`ShardDescriptor`]s the plan is cut into.
+/// how many [`ShardDescriptor`](crate::shard::ShardDescriptor)s the plan
+/// is cut into.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendChoice {
     /// Run in-process (threads); the historical behaviour.
@@ -293,148 +296,23 @@ pub trait ExecutionBackend: Send + Sync {
 // Shard-level result cache
 // ---------------------------------------------------------------------------
 
-/// Snapshot of a [`ShardCache`]'s counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
-struct ShardCacheState {
-    tick: u64,
-    entries: HashMap<(u64, u64), (u64, ShardResult)>,
-}
-
 /// An LRU cache of [`ShardResult`]s keyed on
 /// `(fingerprint hash, descriptor hash)` — see [`descriptor_cache_key`].
 /// Because shard execution is deterministic, a cached result is exactly
 /// what a worker would recompute, so retried, hedged, or repeated shards
 /// can be answered without touching the network. A capacity of zero
 /// disables caching entirely.
-pub struct ShardCache {
-    capacity: usize,
-    state: Mutex<ShardCacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-}
+pub type ShardCache = Cache<(u64, u64), ShardResult>;
 
 /// The cache key for a descriptor: the FNV-1a hash of its model
-/// fingerprint and the FNV-1a hash of its canonical JSON bytes. The
-/// descriptor bytes embed the method, config, request, plan, and chunk
-/// range, so two keys collide only for byte-identical work (up to hash
-/// collisions, which only ever cost a false hit of an identical job).
-pub fn descriptor_cache_key(desc: &ShardDescriptor) -> (u64, u64) {
-    (
-        fingerprint_bytes(desc.fingerprint.as_bytes()),
-        fingerprint_bytes(desc.to_json_string().as_bytes()),
-    )
-}
-
-impl ShardCache {
-    /// A cache holding up to `capacity` shard results (0 disables).
-    pub fn new(capacity: usize) -> Self {
-        ShardCache {
-            capacity,
-            state: Mutex::new(ShardCacheState { tick: 0, entries: HashMap::new() }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, ShardCacheState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Looks up the result for `desc`, counting a hit or miss.
-    pub fn get(&self, desc: &ShardDescriptor) -> Option<ShardResult> {
-        if self.capacity == 0 {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let key = descriptor_cache_key(desc);
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        match state.entries.get_mut(&key) {
-            Some((used, result)) => {
-                *used = tick;
-                let result = result.clone();
-                drop(state);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(result)
-            }
-            None => {
-                drop(state);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts the result for `desc`, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&self, desc: &ShardDescriptor, result: &ShardResult) {
-        if self.capacity == 0 {
-            return;
-        }
-        let key = descriptor_cache_key(desc);
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        if !state.entries.contains_key(&key) && state.entries.len() >= self.capacity {
-            if let Some(oldest) =
-                state.entries.iter().min_by_key(|(_, (used, _))| *used).map(|(k, _)| *k)
-            {
-                state.entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        state.entries.insert(key, (tick, result.clone()));
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> ShardCacheStats {
-        ShardCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.lock().entries.len(),
-        }
-    }
-}
-
-/// Splits `descs` into cached results and the descriptors still to run.
-/// Returns `(hits, misses)`; merge order is restored later by shard
-/// index, so the split does not need to preserve positions.
-fn split_cache_hits(
-    descs: &[ShardDescriptor],
-    cache: Option<&ShardCache>,
-) -> (Vec<ShardResult>, Vec<ShardDescriptor>) {
-    let Some(cache) = cache else {
-        return (Vec::new(), descs.to_vec());
-    };
-    let mut hits = Vec::new();
-    let mut misses = Vec::new();
-    for desc in descs {
-        match cache.get(desc) {
-            Some(result) => hits.push(result),
-            None => misses.push(desc.clone()),
-        }
-    }
-    (hits, misses)
+/// fingerprint and the FNV-1a hash of its canonical JSON bytes (the same
+/// bytes that travel to the worker). The descriptor bytes embed the
+/// method, config, request, plan, and chunk range, so distinct work gets
+/// distinct bytes. The cache stores only the two 64-bit hashes, not the
+/// bytes: two descriptors whose hashes both collide would share one
+/// cached result, and nothing detects it.
+pub fn descriptor_cache_key(fingerprint: &str, descriptor_bytes: &[u8]) -> (u64, u64) {
+    (fingerprint_bytes(fingerprint.as_bytes()), fingerprint_bytes(descriptor_bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -540,10 +418,15 @@ impl Running {
     }
 }
 
-/// Spawns one worker on `desc`. Its reader thread sends `()` on `eof`
-/// once the worker's stdout closes, which is how [`await_wave`] learns a
-/// worker finished without polling.
-fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig, eof: &Sender<()>) -> XaiResult<Running> {
+/// Spawns one worker on the encoded descriptor `text` of `shard`. Its
+/// reader thread sends `()` on `eof` once the worker's stdout closes,
+/// which is how [`await_wave`] learns a worker finished without polling.
+fn spawn_worker(
+    shard: usize,
+    text: &str,
+    pool: &PoolConfig,
+    eof: &Sender<()>,
+) -> XaiResult<Running> {
     let mut cmd = Command::new(&pool.worker_exe);
     cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::null());
     for (k, v) in &pool.env {
@@ -553,7 +436,7 @@ fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig, eof: &Sender<()>) -> 
         XaiError::from_io(&e, format_args!("spawning shard worker '{}'", pool.worker_exe.display()))
     })?;
     let mut stdin = child.stdin.take().expect("stdin was piped");
-    let text = desc.to_json_string();
+    let text = text.to_owned();
     // Writer thread: a worker that never reads (or dies early) must not
     // deadlock us on a full pipe; EPIPE is simply ignored.
     let writer = std::thread::spawn(move || {
@@ -567,7 +450,7 @@ fn spawn_worker(desc: &ShardDescriptor, pool: &PoolConfig, eof: &Sender<()>) -> 
         let _ = eof.send(());
         read
     });
-    Ok(Running { child, shard: desc.shard, status: None, writer: Some(writer), reader: Some(reader) })
+    Ok(Running { child, shard, status: None, writer: Some(writer), reader: Some(reader) })
 }
 
 /// Waits for every worker in the wave: blocks on the wave's stdout-EOF
@@ -664,20 +547,21 @@ fn collect_worker(r: &mut Running) -> XaiResult<ShardResult> {
     ShardResult::from_json(&json)
 }
 
-/// Executes descriptors in waves of [`PoolConfig::max_procs`] worker
-/// processes: descriptor on stdin, result (or envelope) on stdout.
+/// Executes encoded `(shard, descriptor)` jobs in waves of
+/// [`PoolConfig::max_procs`] worker processes: descriptor on stdin,
+/// result (or envelope) on stdout.
 fn run_pool_descriptors(
-    descs: &[ShardDescriptor],
+    jobs: &[(usize, String)],
     pool: &PoolConfig,
 ) -> XaiResult<Vec<ShardResult>> {
     assert!(pool.max_procs >= 1, "need at least one worker process");
-    let mut results = Vec::with_capacity(descs.len());
-    for batch in descs.chunks(pool.max_procs) {
+    let mut results = Vec::with_capacity(jobs.len());
+    for batch in jobs.chunks(pool.max_procs) {
         let mut wave: Vec<Running> = Vec::with_capacity(batch.len());
         let outcome = (|| {
             let (eof_tx, eof) = channel();
-            for desc in batch {
-                wave.push(spawn_worker(desc, pool, &eof_tx)?);
+            for (shard, text) in batch {
+                wave.push(spawn_worker(*shard, text, pool, &eof_tx)?);
             }
             // Only the reader threads hold senders from here on.
             drop(eof_tx);
@@ -728,7 +612,7 @@ impl ProcessPoolBackend {
     }
 
     /// Counter snapshot of the attached cache, if any.
-    pub fn cache_stats(&self) -> Option<ShardCacheStats> {
+    pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
 }
@@ -741,14 +625,29 @@ impl ExecutionBackend for ProcessPoolBackend {
     fn execute(&self, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
         let model_json = job.require_model_json("process-pool")?;
         let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-        let cache = self.cache.as_deref();
-        let (mut results, misses) = split_cache_hits(&descs, cache);
+        // Each descriptor is encoded once: its bytes key the cache and are
+        // what the worker reads on stdin. Merge order is restored later by
+        // shard index, so hits and misses need not keep their positions.
+        let mut results = Vec::new();
+        let mut misses = Vec::new();
+        let mut keys = Vec::new();
+        for desc in &descs {
+            let text = desc.to_json_string();
+            if let Some(cache) = &self.cache {
+                let key = descriptor_cache_key(&desc.fingerprint, text.as_bytes());
+                if let Some(result) = cache.get(&key) {
+                    results.push(result);
+                    continue;
+                }
+                keys.push(key);
+            }
+            misses.push((desc.shard, text));
+        }
         let hits = results.len() as u64;
-        let miss_count = misses.len() as u64;
         let fresh = run_pool_descriptors(&misses, &self.pool)?;
-        if let Some(cache) = cache {
-            for (desc, result) in misses.iter().zip(&fresh) {
-                cache.insert(desc, result);
+        if let Some(cache) = &self.cache {
+            for (key, result) in keys.into_iter().zip(&fresh) {
+                cache.insert(key, result.clone());
             }
         }
         results.extend(fresh);
@@ -757,7 +656,7 @@ impl ExecutionBackend for ProcessPoolBackend {
             explanation,
             degraded: false,
             shard_cache_hits: hits,
-            shard_cache_misses: miss_count,
+            shard_cache_misses: misses.len() as u64,
         })
     }
 }
@@ -852,6 +751,7 @@ pub fn execute_cluster(runner: &ClusterRunner, job: &BackendJob<'_>) -> XaiResul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardDescriptor;
 
     #[test]
     fn backend_choice_wire_round_trips() {
@@ -912,15 +812,19 @@ mod tests {
                 plan: crate::explainer::RunConfig::default(),
             }
         }
+        fn key(shard: usize) -> (u64, u64) {
+            let desc = desc(shard);
+            descriptor_cache_key(&desc.fingerprint, desc.to_json_string().as_bytes())
+        }
         let cache = ShardCache::new(2);
-        assert!(cache.get(&desc(0)).is_none());
-        cache.insert(&desc(0), &result(0));
-        cache.insert(&desc(1), &result(1));
-        assert_eq!(cache.get(&desc(0)).unwrap().shard, 0);
+        assert!(cache.get(&key(0)).is_none());
+        cache.insert(key(0), result(0));
+        cache.insert(key(1), result(1));
+        assert_eq!(cache.get(&key(0)).unwrap().shard, 0);
         // 1 is now least recently used; inserting 2 evicts it.
-        cache.insert(&desc(2), &result(2));
-        assert!(cache.get(&desc(1)).is_none());
-        assert_eq!(cache.get(&desc(2)).unwrap().shard, 2);
+        cache.insert(key(2), result(2));
+        assert!(cache.get(&key(1)).is_none());
+        assert_eq!(cache.get(&key(2)).unwrap().shard, 2);
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.misses, 2);
@@ -954,8 +858,9 @@ mod tests {
             n_shards: 1,
             partial: Json::obj(vec![("chunks", Json::Arr(vec![]))]),
         };
-        cache.insert(&desc, &result);
-        assert!(cache.get(&desc).is_none());
+        let key = descriptor_cache_key(&desc.fingerprint, desc.to_json_string().as_bytes());
+        cache.insert(key, result);
+        assert!(cache.get(&key).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 }

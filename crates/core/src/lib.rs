@@ -24,6 +24,8 @@
 //! - [`serve`] — the explanation-serving engine (DESIGN.md §10): requests
 //!   as JSON data, a worker pool with admission control, and a
 //!   fingerprint-keyed LRU result cache;
+//! - [`cache`] — the one bounded, thread-safe, exact-LRU [`Cache`] behind
+//!   the result cache, the shard cache and the coalition memo;
 //! - [`memo`] — the shared cross-request coalition memo (DESIGN.md §12):
 //!   coalition values keyed on (model, background, instance, mask)
 //!   fingerprints so repeated serve traffic skips oracle calls;
@@ -43,6 +45,7 @@
 //!   partials bit-identically, plus the shard-level result cache.
 
 pub mod backend;
+pub mod cache;
 pub mod error;
 pub mod eval;
 pub mod explainer;
@@ -59,8 +62,8 @@ pub mod validate;
 pub use backend::{
     dispatch_local, execute_cluster, BackendChoice, BackendJob, BackendKind, BackendOutcome,
     ClusterBackend, ExecutionBackend, LocalBackend, PoolConfig, ProcessPoolBackend, ShardCache,
-    ShardCacheStats,
 };
+pub use cache::{Cache, CacheStats};
 pub use error::{catch_model, BudgetMeter, IoKind, SampleBudget, XaiError, XaiResult};
 pub use explainer::{
     CurveExplanation, DegradationPolicy, ExecPlan, ExplainRequest, Explainer, Explanation,
@@ -70,7 +73,7 @@ pub use explanation::{
     Condition, Counterfactual, DataAttribution, FeatureAttribution, Op, RuleExplanation,
 };
 pub use json_parse::{parse_json, ParseError};
-pub use memo::{fingerprint_f64s, CoalitionMemo, GameKey, MemoHandle, MemoStats};
+pub use memo::{fingerprint_f64s, CoalitionMemo, GameKey, MemoHandle};
 pub use report::{Json, ToReport};
 pub use serve::{
     fingerprint_bytes, ExplanationService, ServeRequest, ServeResponse, ServeStats, ServiceConfig,

@@ -10,13 +10,15 @@
 //! - [`ServeRequest`] is the wire form: it round-trips through
 //!   [`Json`] (`from_json`/`to_json`) with **typed** parse errors
 //!   ([`XaiError::Parse`] / [`XaiError::NonFiniteInput`]), and its
-//!   canonical serialization is hashed into the cache key.
+//!   canonical serialization is the request half of the cache key.
 //! - [`ExplanationService`] owns a registered model set (each model
 //!   fingerprinted by hashing its persisted bytes), the runnable
 //!   [`Registry`], a fixed pool of worker threads, a **bounded**
 //!   submission queue with admission control ([`XaiError::QueueFull`]),
-//!   and an LRU result cache keyed on
-//!   `(model fingerprint, canonical request hash)`.
+//!   and an exact-LRU result cache (a [`Cache`]) keyed on
+//!   `(model fingerprint, canonical request bytes)`; a hit compares the
+//!   full request bytes, so no hash collision can serve another
+//!   request's explanation.
 //! - [`ServeStats`] is a point-in-time snapshot of the engine's
 //!   counters: submissions, rejections, completions, failures, cache
 //!   hits/misses/evictions.
@@ -51,6 +53,7 @@ use std::time::Duration;
 
 use xai_data::Dataset;
 
+use crate::cache::Cache;
 use crate::error::{SampleBudget, XaiError, XaiResult};
 use crate::explainer::{
     CurveExplanation, DegradationPolicy, ExplainRequest, Explanation, ModelOracle, RunConfig,
@@ -68,12 +71,19 @@ use crate::taxonomy::Registry;
 
 /// 64-bit FNV-1a hash of a byte string.
 ///
-/// Used for both halves of the result-cache key: the model fingerprint
-/// (over the model's persisted bytes, see `xai_models::persist`) and the
-/// request hash (over [`ServeRequest::to_json_string`]). FNV-1a is not
-/// cryptographic — it pins *identity*, not integrity.
+/// Used for the model fingerprint (over the model's persisted bytes, see
+/// `xai_models::persist`), for [`ServeRequest::canonical_hash`], and,
+/// folded through [`fnv1a`], for the coalition memo's game keys. FNV-1a
+/// is not cryptographic — it pins *identity*, not integrity.
 pub fn fingerprint_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a(FNV_OFFSET, bytes)
+}
+
+/// FNV-1a offset basis: the hash of the empty string.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`.
+pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -241,8 +251,8 @@ impl ServeRequest {
         self.to_json().to_json()
     }
 
-    /// FNV-1a hash of the canonical serialization; the request half of
-    /// the result-cache key.
+    /// FNV-1a hash of the canonical serialization (the result cache
+    /// keys on the bytes themselves).
     pub fn canonical_hash(&self) -> u64 {
         fingerprint_bytes(self.to_json_string().as_bytes())
     }
@@ -815,53 +825,6 @@ impl ServeResponse {
 }
 
 // ---------------------------------------------------------------------------
-// LRU result cache
-// ---------------------------------------------------------------------------
-
-struct LruCache {
-    capacity: usize,
-    tick: u64,
-    entries: HashMap<(u64, u64), (u64, String)>,
-}
-
-impl LruCache {
-    fn new(capacity: usize) -> Self {
-        Self { capacity, tick: 0, entries: HashMap::new() }
-    }
-
-    fn get(&mut self, key: &(u64, u64)) -> Option<String> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(key).map(|e| {
-            e.0 = tick;
-            e.1.clone()
-        })
-    }
-
-    /// Inserts, returning how many entries were evicted (0 or 1).
-    fn insert(&mut self, key: (u64, u64), payload: String) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        self.tick += 1;
-        let mut evicted = 0;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            if let Some(oldest) = self.entries.iter().min_by_key(|(_, (t, _))| *t).map(|(k, _)| *k)
-            {
-                self.entries.remove(&oldest);
-                evicted = 1;
-            }
-        }
-        self.entries.insert(key, (self.tick, payload));
-        evicted
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The service
 // ---------------------------------------------------------------------------
 
@@ -897,9 +860,6 @@ struct StatCells {
     rejected: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
     local_completed: AtomicU64,
     local_failed: AtomicU64,
     pool_completed: AtomicU64,
@@ -917,7 +877,9 @@ struct Inner {
     models: Mutex<HashMap<String, Arc<RegisteredModel>>>,
     queue: Mutex<QueueState>,
     queue_cond: Condvar,
-    cache: Mutex<LruCache>,
+    /// Result cache: canonical payloads keyed on (model fingerprint,
+    /// canonical request bytes).
+    cache: Cache<(u64, String), String>,
     memo: crate::memo::CoalitionMemo,
     stats: StatCells,
     /// Execution backends registered via [`ExplanationService::set_backend`],
@@ -962,7 +924,7 @@ impl ExplanationService {
             models: Mutex::new(HashMap::new()),
             queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
             queue_cond: Condvar::new(),
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
+            cache: Cache::new(config.cache_capacity),
             memo: crate::memo::CoalitionMemo::new(config.memo_capacity),
             stats: StatCells::default(),
             backends: Mutex::new(HashMap::new()),
@@ -1046,21 +1008,22 @@ impl ExplanationService {
 
     /// Current number of cached results.
     pub fn cache_len(&self) -> usize {
-        lock(&self.inner.cache).len()
+        self.inner.cache.len()
     }
 
     /// Snapshot of the engine counters.
     pub fn stats(&self) -> ServeStats {
         let s = &self.inner.stats;
+        let cache = self.inner.cache.stats();
         let memo = self.inner.memo.stats();
         ServeStats {
             submitted: s.submitted.load(Ordering::SeqCst),
             rejected: s.rejected.load(Ordering::SeqCst),
             completed: s.completed.load(Ordering::SeqCst),
             failed: s.failed.load(Ordering::SeqCst),
-            cache_hits: s.cache_hits.load(Ordering::SeqCst),
-            cache_misses: s.cache_misses.load(Ordering::SeqCst),
-            cache_evictions: s.cache_evictions.load(Ordering::SeqCst),
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
+            cache_evictions: cache.evictions,
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
@@ -1078,7 +1041,7 @@ impl ExplanationService {
 
     /// Coalition values currently resident in the cross-request memo.
     pub fn memo_len(&self) -> usize {
-        self.inner.memo.stats().entries as usize
+        self.inner.memo.stats().entries
     }
 
     /// Pre-admission validation: typed errors for requests that could
@@ -1255,10 +1218,9 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
         .registry
         .get_explainer(&request.method)
         .ok_or_else(|| perr(format!("unknown method '{}'", request.method)))?;
-    let key = (entry.fingerprint, request.canonical_hash());
+    let key = (entry.fingerprint, request.to_json_string());
 
-    if let Some(payload) = lock(&inner.cache).get(&key) {
-        inner.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
+    if let Some(payload) = inner.cache.get(&key) {
         return Ok(ServeResponse {
             method: request.method.clone(),
             model: request.model.clone(),
@@ -1268,7 +1230,6 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
             payload,
         });
     }
-    inner.stats.cache_misses.fetch_add(1, Ordering::SeqCst);
 
     let mut req = ExplainRequest::new(&entry.data).plan(request.plan);
     if let Some(x) = &request.instance {
@@ -1331,10 +1292,7 @@ fn execute(inner: &Inner, request: &ServeRequest) -> XaiResult<ServeResponse> {
     };
 
     let payload = explanation.to_json_string();
-    let evicted = lock(&inner.cache).insert(key, payload.clone());
-    if evicted > 0 {
-        inner.stats.cache_evictions.fetch_add(evicted, Ordering::SeqCst);
-    }
+    inner.cache.insert(key, payload.clone());
     Ok(ServeResponse {
         method: request.method.clone(),
         model: request.model.clone(),
@@ -1564,21 +1522,6 @@ mod tests {
             let err = Explanation::from_json_str(text).unwrap_err();
             assert!(matches!(err, XaiError::Parse { .. }), "{text} gave {err:?}");
         }
-    }
-
-    #[test]
-    fn lru_cache_evicts_least_recently_used() {
-        let mut cache = LruCache::new(2);
-        assert_eq!(cache.insert((0, 1), "one".into()), 0);
-        assert_eq!(cache.insert((0, 2), "two".into()), 0);
-        assert!(cache.get(&(0, 1)).is_some()); // refresh (0,1)
-        assert_eq!(cache.insert((0, 3), "three".into()), 1); // displaces (0,2)
-        assert!(cache.get(&(0, 2)).is_none());
-        assert!(cache.get(&(0, 1)).is_some());
-        assert!(cache.get(&(0, 3)).is_some());
-        // Replacing an existing key is not an eviction.
-        assert_eq!(cache.insert((0, 3), "three'".into()), 0);
-        assert_eq!(cache.len(), 2);
     }
 
     #[test]

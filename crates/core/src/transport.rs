@@ -65,7 +65,7 @@ use std::time::{Duration, Instant};
 
 use xai_rand::{child_seed, SplitMix64};
 
-use crate::backend::{BackendJob, ShardCache};
+use crate::backend::{descriptor_cache_key, BackendJob, ShardCache};
 use crate::error::{IoKind, XaiError, XaiResult};
 use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
 use crate::report::Json;
@@ -154,9 +154,17 @@ fn read_frame_body(r: &mut impl Read, header: [u8; 8], what: &str) -> XaiResult<
             "{what}: frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap (garbage frame)"
         )));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)
-        .map_err(|e| XaiError::from_io(&e, format_args!("{what}: reading {len}-byte frame payload")))?;
+    // Grow the buffer as bytes arrive: a header alone never allocates.
+    let mut payload = Vec::new();
+    r.take(len as u64).read_to_end(&mut payload).map_err(|e| {
+        XaiError::from_io(&e, format_args!("{what}: reading {len}-byte frame payload"))
+    })?;
+    if payload.len() < len {
+        return Err(XaiError::io(
+            IoKind::ShortRead,
+            format!("{what}: reading {len}-byte frame payload: EOF after {} bytes", payload.len()),
+        ));
+    }
     Ok(payload)
 }
 
@@ -786,28 +794,34 @@ impl ClusterRunner {
         });
     }
 
-    /// Supervises one shard to completion, consulting the shard cache
-    /// first: a hit skips the network entirely, and a fresh success is
+    /// Supervises one shard to completion. The descriptor is encoded
+    /// once: those bytes key the shard cache and are the frame payload.
+    /// A cache hit skips the network entirely, and a fresh success is
     /// inserted so a later retry, hedge, or repeat of the same
     /// (fingerprint, descriptor) key is answered locally.
     fn run_shard(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        if let Some(cache) = &self.shard_cache {
-            if let Some(result) = cache.get(desc) {
-                return Ok(result);
-            }
+        let payload: Arc<[u8]> = desc.to_json_string().into_bytes().into();
+        let Some(cache) = &self.shard_cache else {
+            return self.run_shard_transport(desc.shard, &payload);
+        };
+        let key = descriptor_cache_key(&desc.fingerprint, &payload);
+        if let Some(result) = cache.get(&key) {
+            return Ok(result);
         }
-        let outcome = self.run_shard_transport(desc);
-        if let (Some(cache), Ok(result)) = (&self.shard_cache, &outcome) {
-            cache.insert(desc, result);
+        let outcome = self.run_shard_transport(desc.shard, &payload);
+        if let Ok(result) = &outcome {
+            cache.insert(key, result.clone());
         }
         outcome
     }
 
     /// Supervises one shard over the wire: retry with backoff across
     /// healthy endpoints, hedge stragglers, classify failures.
-    fn run_shard_transport(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        let payload: Arc<[u8]> = desc.to_json_string().into_bytes().into();
-        let shard = desc.shard;
+    fn run_shard_transport(
+        &self,
+        shard: usize,
+        payload: &Arc<[u8]>,
+    ) -> Result<ShardResult, ShardFailure> {
         // Upper bound on one round trip; recv waits are always bounded by
         // this, so a wedged socket can never wedge the supervisor.
         let trip_bound =
@@ -833,7 +847,7 @@ impl ClusterRunner {
                 continue;
             };
             let (tx, rx) = mpsc::channel();
-            self.launch(primary, &payload, shard, &tx);
+            self.launch(primary, payload, shard, &tx);
             let mut inflight = 1usize;
             let mut hedged = false;
             let started = Instant::now();
@@ -866,7 +880,7 @@ impl ClusterRunner {
                         if let Some(secondary) =
                             self.pick_endpoint(shard + attempt + 1, Some(primary))
                         {
-                            self.launch(secondary, &payload, shard, &tx);
+                            self.launch(secondary, payload, shard, &tx);
                             self.counters.hedges.fetch_add(1, Ordering::Relaxed);
                             inflight += 1;
                             hedged = true;
@@ -1087,6 +1101,24 @@ mod tests {
                 "cut at {cut}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn a_huge_length_header_allocates_only_what_arrives() {
+        /// Panics if a read is ever handed a buffer over 1 MiB.
+        struct Stingy(Cursor<Vec<u8>>);
+        impl Read for Stingy {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                assert!(buf.len() <= 1 << 20, "handed a {}-byte buffer", buf.len());
+                self.0.read(buf)
+            }
+        }
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&FRAME_MAGIC);
+        bytes.extend_from_slice(&(MAX_FRAME_BYTES as u32).to_be_bytes());
+        bytes.extend_from_slice(&[7u8; 100]);
+        let err = read_frame(&mut Stingy(Cursor::new(bytes)), "test").unwrap_err();
+        assert!(matches!(err, XaiError::Io { kind: IoKind::ShortRead, .. }), "{err}");
     }
 
     #[test]

@@ -298,8 +298,10 @@ impl Explainer for DecisionSetMethod {
         reject_budget("Interpretable decision sets", req)?;
         validate::finite_matrix("decision set dataset", req.data.x())?;
         let rules = catch_model("decision set surrogate fit", || {
-            let labels: Vec<f64> = (0..req.data.n_rows())
-                .map(|i| f64::from(model.predict(req.data.row(i)) >= 0.5))
+            let labels: Vec<f64> = model
+                .predict_batch(req.data.x())
+                .into_iter()
+                .map(|p| f64::from(p >= 0.5))
                 .collect();
             DecisionSet::fit(req.data, &labels, self.config).rules()
         })?;

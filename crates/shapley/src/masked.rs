@@ -130,16 +130,15 @@ impl CooperativeGame for MaskedPredictionGame<'_> {
     }
 }
 
-/// A [`CooperativeGame`] wrapper over the shared cross-request [`CoalitionMemo`]
-/// — the cross-request generalization of [`crate::CachedGame`]. Lookups
-/// and inserts are keyed under this game's [`GameKey`], so any request
-/// against the same (model, background, instance) triple shares values,
-/// across explainers (Kernel SHAP and permutation walks hit the same
-/// entries) and across serve workers.
+/// A [`CooperativeGame`] wrapper over a [`CoalitionMemo`]: coalition
+/// values are memoized under their `u64` bitmask. Lookups and inserts are
+/// keyed under this game's [`GameKey`], so any request against the same
+/// (model, background, instance) triple shares values, across explainers
+/// (Kernel SHAP and permutation walks hit the same entries) and across
+/// serve workers; a memo local to one run deduplicates that run alone.
 ///
-/// Same two-phase structure as `CachedGame`: hits are served under the
-/// memo's lock, distinct misses are evaluated *outside* it in one batched
-/// round, then published. Racing workers may evaluate the same mask twice;
+/// Two phases: hits are served under the memo's lock, distinct misses are
+/// evaluated *outside* it in one batched round, then published. Racing workers may evaluate the same mask twice;
 /// both compute the identical deterministic value, so the duplicate insert
 /// is harmless and output never changes.
 pub struct MemoGame<'a, G: CooperativeGame + ?Sized> {
@@ -278,6 +277,46 @@ mod tests {
         let other_vals = other.values(&coalitions);
         assert_eq!(other_vals, other_game.values(&coalitions));
         assert_ne!(other_vals, plain);
+    }
+
+    #[test]
+    fn memo_game_evaluates_each_distinct_miss_once() {
+        use crate::game::TableGame;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        struct Counting(TableGame, AtomicUsize);
+        impl CooperativeGame for Counting {
+            fn n_players(&self) -> usize {
+                self.0.n_players()
+            }
+            fn value(&self, c: &[bool]) -> f64 {
+                self.1.fetch_add(1, Ordering::Relaxed);
+                self.0.value(c)
+            }
+        }
+        let table = TableGame::new(
+            4,
+            (0..16).map(|m: u32| f64::from(m.count_ones()).sqrt() - 0.1).collect(),
+        );
+        let game = Counting(table, AtomicUsize::new(0));
+        let memo = CoalitionMemo::new(64);
+        let memoized =
+            MemoGame::new(&game, &memo, GameKey { model: 1, background: 2, instance: 3 });
+        let coalitions: Vec<Vec<bool>> =
+            [3usize, 5, 3, 9, 5, 3].iter().map(|&m| mask_to_coalition(m, 4)).collect();
+        let vals = memoized.values(&coalitions);
+        for (c, v) in coalitions.iter().zip(&vals) {
+            assert_eq!(*v, game.0.value(c));
+        }
+        // All six lookups of the first call miss, but only the 3 distinct
+        // masks reach the underlying game.
+        assert_eq!(game.1.load(Ordering::Relaxed), 3);
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 6, 3));
+        // Second pass: all hits, same bits, no new evaluations.
+        assert_eq!(memoized.values(&coalitions), vals);
+        assert_eq!(memoized.value(&coalitions[0]), vals[0]);
+        assert_eq!(game.1.load(Ordering::Relaxed), 3);
+        assert_eq!(memo.stats().hits, 7);
     }
 
     #[test]

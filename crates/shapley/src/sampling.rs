@@ -443,8 +443,10 @@ mod tests {
 
     #[test]
     fn batched_matches_scalar_bitwise() {
-        use crate::batch::{BatchPredictionGame, CachedGame};
+        use crate::batch::BatchPredictionGame;
         use crate::game::PredictionGame;
+        use crate::masked::MemoGame;
+        use xai_core::{CoalitionMemo, GameKey};
         use xai_linalg::Matrix;
 
         // Round-boundary sizes: the round-batched core equals the
@@ -473,10 +475,12 @@ mod tests {
 
         // The memo cache must not perturb bits either, and walks repeat
         // the empty/grand coalitions every permutation, so it must hit.
-        let cached = CachedGame::new(&batch_game);
+        let memo = CoalitionMemo::new(64);
+        let cached = MemoGame::new(&batch_game, &memo, GameKey::derive(0, &background, &instance));
         let c = permutation_shapley(&cached, 25, 3);
         assert_eq!(a.phi, c.phi);
-        let (hits, misses) = cached.stats();
+        let stats = memo.stats();
+        let (hits, misses) = (stats.hits, stats.misses);
         assert!(hits > 0 && misses < 25 * 4, "hits={hits} misses={misses}");
     }
 

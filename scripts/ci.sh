@@ -121,17 +121,22 @@ cargo run --release --example cluster_demo >/dev/null
 echo "==> cargo run --release --example backend_demo"
 cargo run --release --example backend_demo >/dev/null
 
-# Serve-path correctness smoke: one second of the local-cold benchmark
-# workload (servebench/, built in its own target directory). The timing
-# is not checked; the run must answer every request and match a direct
-# `Explainer::explain` on its sampled references.
-echo "==> servebench local-cold smoke (correctness only)"
-SERVEBENCH_LAST="$(bash servebench/run.sh --workload local-cold --seed 1 --seconds 1 --trace 0 | tail -n 1)"
-if ! printf '%s\n' "$SERVEBENCH_LAST" | grep -q '"correct":true' \
-    || ! printf '%s\n' "$SERVEBENCH_LAST" | grep -Eq '"failed":0[,}]'; then
-    echo "ci.sh: servebench smoke run failed: $SERVEBENCH_LAST" >&2
-    exit 1
-fi
+# Serve-path correctness smoke: one second of each benchmark workload
+# (servebench/, built in its own target directory). The timing is not
+# checked; each run must answer every request and match a direct
+# `Explainer::explain` on its sampled references. local-cold drives the
+# coalition memo, local-hot the result cache at capacity (every hit
+# compares the full request key), remote-sharded the shard cache, the
+# cluster transport and the process pool.
+for WORKLOAD in local-cold local-hot remote-sharded; do
+    echo "==> servebench $WORKLOAD smoke (correctness only)"
+    SERVEBENCH_LAST="$(bash servebench/run.sh --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+    if ! printf '%s\n' "$SERVEBENCH_LAST" | grep -q '"correct":true' \
+        || ! printf '%s\n' "$SERVEBENCH_LAST" | grep -Eq '"failed":0[,}]'; then
+        echo "ci.sh: servebench $WORKLOAD smoke run failed: $SERVEBENCH_LAST" >&2
+        exit 1
+    fi
+done
 
 # Execution-substrate call-site gate (DESIGN.md §14): new code must go
 # through the ExecutionBackend trait, not call the raw process-pool or

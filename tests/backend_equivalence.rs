@@ -403,6 +403,31 @@ fn shard_cache_answers_repeated_cluster_runs() {
 }
 
 #[test]
+fn shard_cache_answers_repeated_pool_runs() {
+    let (data, model) = fixture(20, 21);
+    let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
+    let reference = LooMethod.explain(&model, &req).expect("direct explain").to_json_string();
+    let cache = Arc::new(ShardCache::new(16));
+    let pool =
+        ProcessPoolBackend::new(PoolConfig::new(worker_exe())).with_cache(Arc::clone(&cache));
+    let n_shards = 4;
+    let job = BackendJob::new(&LooMethod, &model, &req, n_shards).with_model_json(model.save());
+
+    let first = pool.execute(&job).expect("run 1");
+    assert_eq!((first.shard_cache_hits, first.shard_cache_misses), (0, n_shards as u64));
+    let second = pool.execute(&job).expect("run 2");
+    assert_eq!(
+        (second.shard_cache_hits, second.shard_cache_misses),
+        (n_shards as u64, 0),
+        "the identical second run must be answered from the shard cache"
+    );
+    let stats = pool.cache_stats().expect("cache attached");
+    assert_eq!((stats.hits, stats.misses, stats.entries), (4, 4, 4));
+    assert_eq!(first.explanation.to_json_string(), reference);
+    assert_eq!(second.explanation.to_json_string(), reference, "shard-cache hits changed the bytes");
+}
+
+#[test]
 fn serve_counts_shard_cache_hits() {
     let (data, model) = fixture(20, 21);
     // Disable the serve-level result cache so the second submit actually

@@ -24,9 +24,11 @@ use xai_models::{
 };
 use xai_shapley::{
     kernel_shap, permutation_shapley, try_kernel_shap_grid, try_permutation_shapley_grid,
-    BatchPredictionGame, CachedGame, KernelShapConfig, PredictionGame,
+    BatchPredictionGame, KernelShapConfig, MemoGame, PredictionGame,
 };
-use xai_core::{ExplainRequest, Explainer, Explanation, ModelOracle, RunConfig};
+use xai_core::{
+    CoalitionMemo, ExplainRequest, Explainer, Explanation, GameKey, ModelOracle, RunConfig,
+};
 use xai_rand::child_seed;
 use xai_rules::{AnchorsConfig, AnchorsExplainer, AnchorsMethod};
 use xai_surrogate::{feature_grid, partial_dependence, LimeConfig, LimeExplainer};
@@ -50,7 +52,9 @@ where
 {
     let scalar_game = PredictionGame::new(f, instance, bg);
     let batch_game = BatchPredictionGame::new(bf, instance, bg);
-    let cached = CachedGame::new(&batch_game);
+    // A run-local memo with room for every coalition of the 9 players.
+    let memo = CoalitionMemo::new(1 << 9);
+    let cached = MemoGame::new(&batch_game, &memo, GameKey::derive(0, bg, instance));
 
     // Kernel SHAP, exact mode (n = 9 → 510 coalitions) and sampling mode.
     for cfg in [
@@ -91,8 +95,7 @@ where
     }
 
     // Every permutation walk revisits ∅ and N, so the memo must have hit.
-    let (hits, _) = cached.stats();
-    assert!(hits > 0, "{name}: memo cache never hit");
+    assert!(memo.stats().hits > 0, "{name}: memo cache never hit");
 }
 
 /// LIME, PDP and Anchors through the batched model surface, bit-identical

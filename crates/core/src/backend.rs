@@ -1,12 +1,11 @@
 //! Unified execution backends (DESIGN.md §14).
 //!
-//! Three runners grew side by side — the in-process shard runner
+//! Every runner — the in-process shard runner
 //! ([`crate::shard::explain_sharded`]), the OS-process pool (the facade's
 //! `explain_process_pool`), and the TCP cluster
-//! ([`crate::transport::ClusterRunner`]) — each hand-rolling the same
-//! "cut the request into
-//! [`ShardDescriptor`](crate::shard::ShardDescriptor)s, execute them
-//! somewhere, merge the partials bit-identically" loop. This module owns
+//! ([`crate::transport::ClusterRunner`]) — does the same "cut the request
+//! into [`ShardDescriptor`](crate::shard::ShardDescriptor)s, execute them
+//! somewhere, merge the partials bit-identically" job. This module owns
 //! that contract once: [`ExecutionBackend`] is an object-safe trait over a
 //! [`BackendJob`] (explainer + model + request + shard count), and
 //! [`LocalBackend`], [`ProcessPoolBackend`] and [`ClusterBackend`] are
@@ -28,41 +27,50 @@
 //! fingerprint and the encoded descriptor ([`descriptor_cache_key`]); it
 //! keeps no descriptor bytes, so it trusts those hashes not to collide.
 //!
+//! Both remote backends run on one [`ClusterRunner`] and one dispatch
+//! core ([`execute_cluster`]): the cluster's endpoints are TCP daemons,
+//! the pool's one endpoint spawns worker processes and keeps them as
+//! persistent stdin/stdout sessions. Either way a descriptor travels in
+//! the same frame, through the same round trip, to the same worker loop
+//! ([`crate::transport::serve_connection`]).
+//!
 //! Failure semantics per backend:
 //!
 //! - [`LocalBackend`]: errors surface exactly as `explain` would raise
 //!   them; there is no transport to degrade.
 //! - [`ProcessPoolBackend`]: worker failures are typed
-//!   ([`XaiError::WorkerPanic`], [`XaiError::ModelFault`],
-//!   [`XaiError::Parse`], [`XaiError::BudgetExceeded`] past the wave
-//!   deadline) and never silently retried — a pool lives on one machine,
-//!   so a deterministic failure would only repeat.
+//!   ([`XaiError::WorkerPanic`], [`XaiError::ModelFault`] for an
+//!   abnormal exit, [`XaiError::Parse`], [`XaiError::BudgetExceeded`]
+//!   when one frame exchange outlives [`PoolConfig::deadline`]) and never
+//!   retried or degraded — a pool lives on one machine, so a failure
+//!   would only repeat. The failed worker is killed and reaped, and the
+//!   job's shards not yet started are skipped. Only a kept worker found
+//!   dead before it replied is replaced by a fresh one.
 //! - [`ClusterBackend`]: transport failures are retried, hedged and
 //!   breaker-routed by the [`ClusterRunner`]; when the whole cluster is
 //!   unreachable and [`FallbackPolicy::InProcess`] allows, the job
 //!   degrades to [`LocalBackend`] semantics and the outcome carries
 //!   `degraded: true`. Execution failures (typed envelopes from a worker
 //!   that *ran* the shard) are deterministic and are never retried or
-//!   degraded.
+//!   degraded; one ends the job, skipping its shards not yet started.
 
-use std::io::{Read as _, Write as _};
 use std::path::PathBuf;
-use std::process::{Child, Command, ExitStatus, Stdio};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::cache::{Cache, CacheStats};
-use crate::error::{IoKind, XaiError, XaiResult};
+use crate::error::{XaiError, XaiResult};
 use crate::explainer::{ExplainRequest, Explanation, ModelOracle};
-use crate::json_parse::parse_json;
 use crate::report::Json;
 use crate::serve::fingerprint_bytes;
 use crate::shard::{
-    build_descriptors, error_from_json, is_error_envelope, merge_shard_results,
-    shard_chunk_ranges, wire_error, ShardResult, ShardableExplainer,
+    build_descriptors, merge_shard_results, shard_chunk_ranges, wire_error, ShardResult,
+    ShardableExplainer,
 };
-use crate::transport::{ClusterRunner, FallbackPolicy};
+use crate::transport::{
+    ClusterConfig, ClusterRunner, ClusterStats, Endpoint, FallbackPolicy, RetryPolicy,
+    ShardFailure,
+};
 use xai_rand::parallel::try_par_map_seeded;
 
 // ---------------------------------------------------------------------------
@@ -247,12 +255,11 @@ impl<'a> BackendJob<'a> {
         self
     }
 
-    fn require_model_json(&self, backend: &str) -> XaiResult<Json> {
+    fn require_model_json(&self) -> XaiResult<Json> {
         self.model_json.clone().ok_or_else(|| XaiError::Unsupported {
-            context: format!(
-                "{backend} backend needs the model's persisted JSON; \
-                 attach it with BackendJob::with_model_json"
-            ),
+            context: "remote backends need the model's persisted JSON; \
+                      attach it with BackendJob::with_model_json"
+                .into(),
         })
     }
 }
@@ -368,11 +375,12 @@ impl ExecutionBackend for LocalBackend {
 pub struct PoolConfig {
     /// Path to the `xai-shard-worker` executable.
     pub worker_exe: PathBuf,
-    /// Maximum concurrently running worker processes (a wave).
+    /// Maximum worker processes alive at once.
     pub max_procs: usize,
-    /// Wall-clock deadline per wave; a straggler past it is killed and
-    /// the run fails with [`XaiError::BudgetExceeded`]. `None` waits
-    /// indefinitely for well-behaved workers.
+    /// Wall-clock bound on each frame exchange with a worker; a worker
+    /// past it is killed and the run fails with
+    /// [`XaiError::BudgetExceeded`]. `None` waits indefinitely for
+    /// well-behaved workers.
     pub deadline: Option<Duration>,
     /// Extra environment variables for every worker (used by the
     /// fault-injection tests; empty in normal operation).
@@ -381,7 +389,7 @@ pub struct PoolConfig {
 
 impl PoolConfig {
     /// A pool over the given worker executable: workers capped at the
-    /// executor's default parallelism, a generous 60 s wave deadline.
+    /// executor's default parallelism, a generous 60 s exchange deadline.
     pub fn new(worker_exe: impl Into<PathBuf>) -> Self {
         PoolConfig {
             worker_exe: worker_exe.into(),
@@ -392,217 +400,46 @@ impl PoolConfig {
     }
 }
 
-/// One supervised worker process and the threads shuttling its pipes.
-struct Running {
-    child: Child,
-    shard: usize,
-    status: Option<ExitStatus>,
-    writer: Option<std::thread::JoinHandle<()>>,
-    reader: Option<std::thread::JoinHandle<std::io::Result<String>>>,
-}
-
-impl Running {
-    /// Kills the child if still alive and joins the pipe threads. Safe to
-    /// call on an already-reaped worker.
-    fn abort(&mut self) {
-        if self.status.is_none() {
-            let _ = self.child.kill();
-            self.status = self.child.wait().ok();
-        }
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
-        }
-    }
-}
-
-/// Spawns one worker on the encoded descriptor `text` of `shard`. Its
-/// reader thread sends `()` on `eof` once the worker's stdout closes,
-/// which is how [`await_wave`] learns a worker finished without polling.
-fn spawn_worker(
-    shard: usize,
-    text: &str,
-    pool: &PoolConfig,
-    eof: &Sender<()>,
-) -> XaiResult<Running> {
-    let mut cmd = Command::new(&pool.worker_exe);
-    cmd.stdin(Stdio::piped()).stdout(Stdio::piped()).stderr(Stdio::null());
-    for (k, v) in &pool.env {
-        cmd.env(k, v);
-    }
-    let mut child = cmd.spawn().map_err(|e| {
-        XaiError::from_io(&e, format_args!("spawning shard worker '{}'", pool.worker_exe.display()))
-    })?;
-    let mut stdin = child.stdin.take().expect("stdin was piped");
-    let text = text.to_owned();
-    // Writer thread: a worker that never reads (or dies early) must not
-    // deadlock us on a full pipe; EPIPE is simply ignored.
-    let writer = std::thread::spawn(move || {
-        let _ = stdin.write_all(text.as_bytes());
-    });
-    let mut stdout = child.stdout.take().expect("stdout was piped");
-    let eof = eof.clone();
-    let reader = std::thread::spawn(move || {
-        let mut out = String::new();
-        let read = stdout.read_to_string(&mut out).map(|_| out);
-        let _ = eof.send(());
-        read
-    });
-    Ok(Running { child, shard, status: None, writer: Some(writer), reader: Some(reader) })
-}
-
-/// Waits for every worker in the wave: blocks on the wave's stdout-EOF
-/// channel until each worker has closed its output, then reaps them. A
-/// wave still short of its EOFs at the deadline fails with
-/// [`XaiError::BudgetExceeded`]; the caller kills the stragglers.
-fn await_wave(
-    wave: &mut [Running],
-    eof: &Receiver<()>,
-    pool: &PoolConfig,
-    completed_before: usize,
-) -> XaiResult<()> {
-    let start = Instant::now();
-    for finished in 0..wave.len() {
-        let got = match pool.deadline {
-            Some(deadline) => eof.recv_timeout(deadline.saturating_sub(start.elapsed())),
-            None => eof.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match got {
-            Ok(()) => {}
-            Err(RecvTimeoutError::Timeout) => {
-                return Err(XaiError::BudgetExceeded {
-                    context: format!(
-                        "shard process pool: wave exceeded the {:?} deadline \
-                         ({finished} of {} workers finished)",
-                        pool.deadline.unwrap_or_default(),
-                        wave.len()
-                    ),
-                    completed: completed_before + finished,
-                })
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                return Err(XaiError::io(
-                    IoKind::Other,
-                    "shard worker stdout reader thread exited without reporting EOF",
-                ))
-            }
-        }
-    }
-    // Every worker closed stdout, which a worker does by exiting.
-    for r in wave.iter_mut() {
-        let status = r.child.wait().map_err(|e| {
-            XaiError::from_io(&e, format_args!("waiting for shard worker {}", r.shard))
-        })?;
-        r.status = Some(status);
-    }
-    Ok(())
-}
-
-/// Interprets one finished worker: exit status, stdout bytes, envelope
-/// or result.
-fn collect_worker(r: &mut Running) -> XaiResult<ShardResult> {
-    let status = r.status.expect("worker was awaited");
-    let output = match r.reader.take().expect("reader not yet joined").join() {
-        Ok(Ok(text)) => text,
-        Ok(Err(e)) => {
-            return Err(XaiError::from_io(
-                &e,
-                format_args!("reading shard worker {} stdout", r.shard),
-            ))
-        }
-        Err(_) => {
-            return Err(XaiError::io(
-                IoKind::Other,
-                format!("shard worker {} stdout reader thread panicked", r.shard),
-            ))
-        }
-    };
-    if let Some(w) = r.writer.take() {
-        let _ = w.join();
-    }
-    if !status.success() {
-        return Err(XaiError::ModelFault {
-            context: format!("shard worker for shard {} exited abnormally ({status})", r.shard),
-        });
-    }
-    let json = parse_json(output.trim()).map_err(|_| {
-        wire_error(format!(
-            "shard worker {} wrote unparseable output ({} bytes)",
-            r.shard,
-            output.len()
-        ))
-    })?;
-    if is_error_envelope(&json) {
-        let err = error_from_json(&json)?;
-        // The worker may not know its shard index at panic time; pin it.
-        return Err(match err {
-            XaiError::WorkerPanic { message, .. } => {
-                XaiError::WorkerPanic { task: r.shard, message }
-            }
-            other => other,
-        });
-    }
-    ShardResult::from_json(&json)
-}
-
-/// Executes encoded `(shard, descriptor)` jobs in waves of
-/// [`PoolConfig::max_procs`] worker processes: descriptor on stdin,
-/// result (or envelope) on stdout.
-fn run_pool_descriptors(
-    jobs: &[(usize, String)],
-    pool: &PoolConfig,
-) -> XaiResult<Vec<ShardResult>> {
-    assert!(pool.max_procs >= 1, "need at least one worker process");
-    let mut results = Vec::with_capacity(jobs.len());
-    for batch in jobs.chunks(pool.max_procs) {
-        let mut wave: Vec<Running> = Vec::with_capacity(batch.len());
-        let outcome = (|| {
-            let (eof_tx, eof) = channel();
-            for (shard, text) in batch {
-                wave.push(spawn_worker(*shard, text, pool, &eof_tx)?);
-            }
-            // Only the reader threads hold senders from here on.
-            drop(eof_tx);
-            await_wave(&mut wave, &eof, pool, results.len())?;
-            for r in &mut wave {
-                results.push(collect_worker(r)?);
-            }
-            Ok(())
-        })();
-        if let Err(e) = outcome {
-            for r in &mut wave {
-                r.abort();
-            }
-            return Err(e);
-        }
-    }
-    Ok(results)
-}
-
-/// OS-process execution on this machine: waves of `xai-shard-worker`
-/// processes, each fed one descriptor on stdin. Worker failure modes all
-/// surface as typed errors, never a hang: a panicking worker is
+/// OS-process execution on this machine: a [`ClusterRunner`] whose one
+/// endpoint spawns `xai-shard-worker` processes, at most
+/// [`PoolConfig::max_procs`] alive at once, and keeps each as a
+/// persistent stdin/stdout session for later shards and jobs. Dropping
+/// the backend kills and reaps them. A panicking worker is
 /// [`XaiError::WorkerPanic`], garbage output is [`XaiError::Parse`], an
-/// abnormal exit is [`XaiError::ModelFault`], and a straggler past
-/// [`PoolConfig::deadline`] is killed and reported as
-/// [`XaiError::BudgetExceeded`]. An optional [`ShardCache`] answers
-/// repeated descriptors without spawning a process.
+/// abnormal exit is [`XaiError::ModelFault`], and an exchange past
+/// [`PoolConfig::deadline`] kills the worker and is
+/// [`XaiError::BudgetExceeded`]. A failure would only repeat on the same
+/// machine, so the runner makes one attempt per shard, never hedges,
+/// never trips a breaker (a fresh process is how the pool recovers) and
+/// never degrades. An optional [`ShardCache`] answers repeated
+/// descriptors without touching a worker.
 pub struct ProcessPoolBackend {
     pool: PoolConfig,
-    cache: Option<Arc<ShardCache>>,
+    runner: ClusterRunner,
 }
 
 impl ProcessPoolBackend {
     /// A backend over the given pool configuration, uncached.
     pub fn new(pool: PoolConfig) -> Self {
-        ProcessPoolBackend { pool, cache: None }
+        // No addresses and no connect time: the pool spawns, it never
+        // connects, so neither may widen the round-trip bound.
+        let config = ClusterConfig {
+            connect_timeout: Duration::ZERO,
+            io_timeout: pool.deadline.unwrap_or(Duration::MAX),
+            retry: RetryPolicy { max_attempts: 1, ..RetryPolicy::default() },
+            breaker_threshold: usize::MAX,
+            fallback: FallbackPolicy::Fail,
+            shard_cache_capacity: 0,
+            ..ClusterConfig::new(Vec::<String>::new())
+        };
+        let endpoint = Endpoint::Spawn { exe: pool.worker_exe.clone(), env: pool.env.clone() };
+        let runner = ClusterRunner::over(config, vec![endpoint], pool.max_procs, pool.max_procs);
+        ProcessPoolBackend { pool, runner }
     }
 
     /// Attaches a shard-level result cache.
     pub fn with_cache(mut self, cache: Arc<ShardCache>) -> Self {
-        self.cache = Some(cache);
+        self.runner.shard_cache = Some(cache);
         self
     }
 
@@ -613,7 +450,13 @@ impl ProcessPoolBackend {
 
     /// Counter snapshot of the attached cache, if any.
     pub fn cache_stats(&self) -> Option<CacheStats> {
-        self.cache.as_ref().map(|c| c.stats())
+        self.runner.shard_cache.as_ref().map(|c| c.stats())
+    }
+
+    /// The pool runner's counters; `connections_opened` counts worker
+    /// processes spawned.
+    pub fn stats(&self) -> ClusterStats {
+        self.runner.stats()
     }
 }
 
@@ -623,41 +466,7 @@ impl ExecutionBackend for ProcessPoolBackend {
     }
 
     fn execute(&self, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
-        let model_json = job.require_model_json("process-pool")?;
-        let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-        // Each descriptor is encoded once: its bytes key the cache and are
-        // what the worker reads on stdin. Merge order is restored later by
-        // shard index, so hits and misses need not keep their positions.
-        let mut results = Vec::new();
-        let mut misses = Vec::new();
-        let mut keys = Vec::new();
-        for desc in &descs {
-            let text = desc.to_json_string();
-            if let Some(cache) = &self.cache {
-                let key = descriptor_cache_key(&desc.fingerprint, text.as_bytes());
-                if let Some(result) = cache.get(&key) {
-                    results.push(result);
-                    continue;
-                }
-                keys.push(key);
-            }
-            misses.push((desc.shard, text));
-        }
-        let hits = results.len() as u64;
-        let fresh = run_pool_descriptors(&misses, &self.pool)?;
-        if let Some(cache) = &self.cache {
-            for (key, result) in keys.into_iter().zip(&fresh) {
-                cache.insert(key, result.clone());
-            }
-        }
-        results.extend(fresh);
-        let explanation = merge_shard_results(job.explainer, job.model, job.req, results)?;
-        Ok(BackendOutcome {
-            explanation,
-            degraded: false,
-            shard_cache_hits: hits,
-            shard_cache_misses: misses.len() as u64,
-        })
+        execute_cluster(&self.runner, job)
     }
 }
 
@@ -701,56 +510,37 @@ impl ExecutionBackend for ClusterBackend {
     }
 }
 
-/// The shared cluster dispatch/merge core: build descriptors, ship them
-/// through the runner's supervision (retry/hedging/breakers/sessions/
-/// cache), merge bit-identically — and degrade to [`dispatch_local`]
-/// with a `degraded` marker when the whole cluster is unreachable and
-/// [`FallbackPolicy::InProcess`] allows. Execution failures (typed
-/// envelopes from a worker that ran the shard) are deterministic and are
-/// returned as-is, never retried or degraded.
+/// The dispatch/merge core of both remote backends: build descriptors,
+/// ship them through the runner's supervision (retry/hedging/breakers/
+/// sessions/cache), merge bit-identically — and degrade to
+/// [`dispatch_local`] with a `degraded` marker when the whole cluster is
+/// unreachable and [`FallbackPolicy::InProcess`] allows. Execution
+/// failures (typed envelopes from a worker that ran the shard, abnormal
+/// worker exits) are deterministic and are returned as-is, never retried
+/// or degraded. The outcome's shard-cache counts are this job's own
+/// lookups.
 pub fn execute_cluster(runner: &ClusterRunner, job: &BackendJob<'_>) -> XaiResult<BackendOutcome> {
-    let model_json = job.require_model_json("cluster")?;
+    let model_json = job.require_model_json()?;
     let descs = build_descriptors(job.explainer, job.req, model_json, job.n_shards)?;
-    let cache_before = runner.stats();
-    let cache_delta = |runner: &ClusterRunner| {
-        let after = runner.stats();
-        (
-            after.shard_cache_hits.saturating_sub(cache_before.shard_cache_hits),
-            after.shard_cache_misses.saturating_sub(cache_before.shard_cache_misses),
-        )
-    };
-    match runner.run_classified(&descs) {
-        Ok(results) => {
-            let explanation = merge_shard_results(job.explainer, job.model, job.req, results)?;
-            let (hits, misses) = cache_delta(runner);
-            Ok(BackendOutcome {
-                explanation,
-                degraded: false,
-                shard_cache_hits: hits,
-                shard_cache_misses: misses,
-            })
+    let (results, (shard_cache_hits, shard_cache_misses)) = runner.run_classified(&descs);
+    let (explanation, degraded) = match results {
+        Ok(results) => (merge_shard_results(job.explainer, job.model, job.req, results)?, false),
+        Err(failure @ ShardFailure::Execution(_)) => return Err(failure.into_error()),
+        Err(failure) if runner.config().fallback == FallbackPolicy::Fail => {
+            return Err(failure.into_error())
         }
-        Err(failure) if failure.is_execution() => Err(failure.into_error()),
-        Err(failure) => match runner.config().fallback {
-            FallbackPolicy::Fail => Err(failure.into_error()),
-            FallbackPolicy::InProcess => {
-                runner.mark_degraded();
-                let explanation = dispatch_local(job.explainer, job.model, job.req, job.n_shards)?;
-                let (hits, misses) = cache_delta(runner);
-                Ok(BackendOutcome {
-                    explanation,
-                    degraded: true,
-                    shard_cache_hits: hits,
-                    shard_cache_misses: misses,
-                })
-            }
-        },
-    }
+        Err(_) => {
+            runner.mark_degraded();
+            (dispatch_local(job.explainer, job.model, job.req, job.n_shards)?, true)
+        }
+    };
+    Ok(BackendOutcome { explanation, degraded, shard_cache_hits, shard_cache_misses })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json_parse::parse_json;
     use crate::shard::ShardDescriptor;
 
     #[test]

@@ -1,21 +1,26 @@
-//! Fault-tolerant multi-node shard transport (DESIGN.md §13).
+//! Fault-tolerant shard transport (DESIGN.md §13).
 //!
 //! The shard layer ([`crate::shard`]) made every sampled estimator a set
 //! of self-contained, wire-ready [`ShardDescriptor`]s whose partials
 //! merge **bit-identically** to the unsharded run. This module moves
-//! those descriptors between machines: a zero-dependency length-prefixed
-//! TCP protocol (std `TcpListener`/`TcpStream` only) carries one
-//! descriptor per connection to a remote `xai-shard-worker --listen`
-//! daemon and one [`ShardResult`] — or a typed shard error envelope —
-//! back.
+//! those descriptors to workers: a zero-dependency length-prefixed frame
+//! protocol carries descriptors over a persistent session — a TCP
+//! stream to an `xai-shard-worker --listen` daemon, or the stdin and
+//! stdout of a worker process the runner spawned and keeps (the process
+//! pool) — and one [`ShardResult`] — or a typed shard error envelope —
+//! back per descriptor. Both kinds of session run the same worker loop
+//! ([`serve_connection`]) and the same round trip.
 //!
-//! Connections are **reused**: each endpoint keeps a pool of idle
-//! persistent framed sessions, so a runner shipping many descriptors
-//! pays one TCP handshake per concurrent stream, not one per
-//! descriptor. A shard-level [`crate::backend::ShardCache`] keyed on
-//! (model fingerprint, descriptor hash) answers repeated, retried, or
-//! hedged shards without touching the network at all — sound because
-//! shard execution is deterministic.
+//! Sessions are **reused**, so a runner pays one TCP handshake or one
+//! process spawn per concurrent stream, not per descriptor. A pooled
+//! session found dead on reuse (the request cannot be written, or the
+//! worker closes or resets it before replying) is replaced by a fresh
+//! one once; a worker that answers late or wrongly is never asked
+//! again within the same attempt. A
+//! shard-level [`crate::backend::ShardCache`] keyed on (model
+//! fingerprint, descriptor hash) answers repeated, retried, or hedged
+//! shards without touching a worker at all — sound because shard
+//! execution is deterministic.
 //!
 //! The whole design is failure-first, because on a real cluster workers
 //! are slow, dead, or lying:
@@ -24,7 +29,9 @@
 //!   `magic ‖ length ‖ payload`; anything else — wrong magic, an absurd
 //!   length, truncation — is detected immediately and typed precisely
 //!   (garbage is [`XaiError::Parse`], truncation is [`XaiError::Io`]
-//!   with [`IoKind::ShortRead`]).
+//!   with [`IoKind::ShortRead`]). A reply naming another method, model
+//!   fingerprint, shard or shard count is a lying worker
+//!   ([`XaiError::Parse`]) and is never cached.
 //! - **Retry** is governed by a typed [`RetryPolicy`]: bounded attempts,
 //!   exponential backoff, and *deterministic seeded jitter* (SplitMix64
 //!   over `child_seed(jitter_seed, shard, attempt)`) so two coordinators
@@ -39,6 +46,10 @@
 //!   half-open probe is admitted, and its outcome either re-closes or
 //!   re-opens the breaker. Shards route around open endpoints, so a dead
 //!   machine stops eating retry budget.
+//! - **Fail fast**: once a shard fails its whole job — an execution
+//!   failure, or any failure under [`FallbackPolicy::Fail`] — the job's
+//!   shards still waiting for a session are not started, and the
+//!   lowest-indexed failure among the shards that ran is reported.
 //! - **Graceful degradation**: when the entire cluster is unreachable and
 //!   [`FallbackPolicy::InProcess`] allows it, the run falls back to the
 //!   local [`crate::backend::dispatch_local`] runner and the outcome carries a
@@ -52,15 +63,19 @@
 //! [`XaiError::Parse`], a worker that exceeds the response deadline is
 //! [`XaiError::BudgetExceeded`], and a typed error envelope from the
 //! worker ([`XaiError::WorkerPanic`], [`XaiError::ModelFault`], …)
-//! passes through unchanged. Envelope errors are *execution* failures —
+//! passes through unchanged, as does a spawned worker's abnormal exit
+//! ([`XaiError::ModelFault`]). Those are *execution* failures —
 //! deterministic properties of the shard — so they are never retried and
 //! never trigger fallback; transport failures are environmental, so they
 //! are retried, re-routed, hedged, and ultimately degradable.
 
+use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use xai_rand::{child_seed, SplitMix64};
@@ -235,7 +250,7 @@ pub enum BreakerState {
 /// Point-in-time view of one endpoint's health, for tests and operators.
 #[derive(Clone, Debug)]
 pub struct EndpointHealth {
-    /// The endpoint address as configured.
+    /// The endpoint's socket address, or a pool's worker executable.
     pub addr: String,
     /// Breaker state at snapshot time.
     pub state: BreakerState,
@@ -454,7 +469,8 @@ pub struct ClusterStats {
     pub breaker_trips: u64,
     /// Whether the last `explain` fell back to the in-process runner.
     pub degraded: bool,
-    /// Fresh TCP connections opened (handshakes paid).
+    /// Fresh sessions opened: TCP connects to a daemon, or worker
+    /// processes spawned.
     pub connections_opened: u64,
     /// Round trips that started on a pooled persistent session.
     pub sessions_reused: u64,
@@ -477,41 +493,274 @@ struct Counters {
 }
 
 // ---------------------------------------------------------------------------
-// Persistent sessions
+// Endpoints and persistent sessions
 // ---------------------------------------------------------------------------
 
-/// Idle persistent connections to one endpoint. A round trip checks a
-/// stream out, and a *healthy* round trip (success or a typed execution
-/// envelope) checks it back in; transport failures drop the stream, so
-/// the pool only ever holds connections whose last frame exchange was
-/// clean.
-struct SessionPool {
-    idle: Mutex<Vec<TcpStream>>,
+/// Where a runner's sessions come from.
+pub(crate) enum Endpoint {
+    /// An `xai-shard-worker --listen` daemon: sessions are TCP streams.
+    Tcp(SocketAddr),
+    /// A worker executable and its extra environment: sessions are child
+    /// processes serving frames on their stdin and stdout.
+    Spawn { exe: PathBuf, env: Vec<(String, String)> },
 }
 
-/// Idle streams kept per endpoint. Beyond this, returned streams are
+impl fmt::Display for Endpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Endpoint::Tcp(addr) => write!(f, "{addr}"),
+            Endpoint::Spawn { exe, .. } => write!(f, "{}", exe.display()),
+        }
+    }
+}
+
+impl Endpoint {
+    fn open(&self, connect_timeout: Duration, what: &str) -> XaiResult<Session> {
+        match self {
+            Endpoint::Tcp(addr) => TcpStream::connect_timeout(addr, connect_timeout)
+                .map(Session::Tcp)
+                .map_err(|e| XaiError::from_io(&e, format_args!("{what}: connect"))),
+            Endpoint::Spawn { exe, env } => ChildSession::spawn(exe, env).map(Session::Child),
+        }
+    }
+}
+
+/// One live framed session with a worker.
+enum Session {
+    Tcp(TcpStream),
+    Child(ChildSession),
+}
+
+impl Session {
+    /// Whether a pooled session may still be usable: a kept worker that
+    /// has exited is not. A TCP stream shows a closed peer only on use.
+    fn may_be_live(&mut self) -> bool {
+        match self {
+            Session::Tcp(_) => true,
+            Session::Child(child) => matches!(child.child.try_wait(), Ok(None)),
+        }
+    }
+
+    /// Sends one request frame and returns the reply frame's bytes. A
+    /// reply later than `io_timeout` is [`XaiError::BudgetExceeded`].
+    fn exchange(
+        &mut self,
+        payload: &Arc<[u8]>,
+        io_timeout: Duration,
+        what: &str,
+    ) -> Result<Vec<u8>, ShardFailure> {
+        match self {
+            Session::Tcp(stream) => {
+                let _ = stream.set_nodelay(true);
+                let _ = stream.set_read_timeout(Some(io_timeout));
+                let _ = stream.set_write_timeout(Some(io_timeout));
+                write_frame(&mut &*stream, payload, what).map_err(ShardFailure::Transport)?;
+                match read_frame_or_eof(&mut &*stream, what) {
+                    Ok(Some(bytes)) => Ok(bytes),
+                    Ok(None) => Err(ShardFailure::Transport(closed_before_reply(what))),
+                    // An expired read deadline while waiting for the
+                    // response is the worker blowing its deadline, not a
+                    // socket mishap.
+                    Err(XaiError::Io { kind: IoKind::Timeout, .. }) => {
+                        Err(ShardFailure::Transport(deadline_error(what, io_timeout)))
+                    }
+                    Err(e) => Err(ShardFailure::Transport(e)),
+                }
+            }
+            Session::Child(child) => child.exchange(payload, io_timeout, what),
+        }
+    }
+}
+
+/// Whether a failed exchange found its session dead: the request or the
+/// reply was reset, or the worker closed the session without a reply
+/// byte. An idle pooled session can die like this (a daemon closes it,
+/// a kept worker is killed), so it is the one failure a reused session
+/// retries, once, on a fresh session.
+fn session_was_dead(failure: &ShardFailure) -> bool {
+    matches!(failure, ShardFailure::Transport(XaiError::Io { kind: IoKind::Reset, .. }))
+}
+
+fn deadline_error(what: &str, io_timeout: Duration) -> XaiError {
+    XaiError::BudgetExceeded {
+        context: format!("{what}: no response within the {io_timeout:?} deadline"),
+        completed: 0,
+    }
+}
+
+fn closed_before_reply(what: &str) -> XaiError {
+    XaiError::io(IoKind::Reset, format!("{what}: the worker closed the session before replying"))
+}
+
+/// A spawned worker serving a framed session on its stdin and stdout.
+/// Its pump thread writes each request and reads the reply, so the
+/// caller waits on a channel with a deadline and never blocks on a pipe.
+/// Dropping the session kills and reaps the child and joins the pump.
+struct ChildSession {
+    child: Child,
+    requests: mpsc::Sender<(Arc<[u8]>, String)>,
+    replies: mpsc::Receiver<XaiResult<Option<Vec<u8>>>>,
+    pump: Option<std::thread::JoinHandle<()>>,
+}
+
+impl ChildSession {
+    fn spawn(exe: &Path, env: &[(String, String)]) -> XaiResult<ChildSession> {
+        let mut child = Command::new(exe)
+            .envs(env.iter().map(|(k, v)| (k, v)))
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .map_err(|e| {
+                XaiError::from_io(&e, format_args!("spawning shard worker '{}'", exe.display()))
+            })?;
+        let stdin = child.stdin.take().expect("stdin was piped");
+        let stdout = child.stdout.take().expect("stdout was piped");
+        let (requests, inbox) = mpsc::channel();
+        let (outbox, replies) = mpsc::channel();
+        let pump = std::thread::spawn(move || pump(stdin, stdout, inbox, outbox));
+        Ok(ChildSession { child, requests, replies, pump: Some(pump) })
+    }
+
+    fn exchange(
+        &mut self,
+        payload: &Arc<[u8]>,
+        io_timeout: Duration,
+        what: &str,
+    ) -> Result<Vec<u8>, ShardFailure> {
+        // A pump that already stopped drops its sender: recv reports that.
+        let _ = self.requests.send((Arc::clone(payload), what.to_string()));
+        let failure = match self.replies.recv_timeout(io_timeout) {
+            Ok(Ok(Some(bytes))) => return Ok(bytes),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                return Err(ShardFailure::Transport(deadline_error(what, io_timeout)))
+            }
+            Ok(Err(e @ XaiError::Parse { .. })) => return Err(ShardFailure::Transport(e)),
+            Ok(Ok(None)) => closed_before_reply(what),
+            Ok(Err(e)) => e,
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                XaiError::io(IoKind::Other, format!("{what}: session pump exited"))
+            }
+        };
+        // The worker closed or broke its pipes; its exit status says why.
+        match self.reap() {
+            Some(status) if !status.success() => Err(ShardFailure::Execution(XaiError::ModelFault {
+                context: format!("{what}: shard worker exited abnormally ({status})"),
+            })),
+            _ => Err(ShardFailure::Transport(failure)),
+        }
+    }
+
+    /// Kills the child if it still runs and waits for it. A child that
+    /// already exited keeps its own status.
+    fn reap(&mut self) -> Option<ExitStatus> {
+        let _ = self.child.kill();
+        self.child.wait().ok()
+    }
+}
+
+impl Drop for ChildSession {
+    fn drop(&mut self) {
+        // Killing the child unblocks a pump stuck on a pipe; closing the
+        // request channel ends a pump waiting for the next request.
+        self.reap();
+        self.requests = mpsc::channel().0;
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
+        }
+    }
+}
+
+/// Stops after the first failure or when the request channel closes.
+fn pump(
+    mut stdin: ChildStdin,
+    mut stdout: ChildStdout,
+    requests: mpsc::Receiver<(Arc<[u8]>, String)>,
+    replies: mpsc::Sender<XaiResult<Option<Vec<u8>>>>,
+) {
+    for (payload, what) in requests {
+        let reply = write_frame(&mut stdin, &payload, &what)
+            .and_then(|()| read_frame_or_eof(&mut stdout, &what));
+        let failed = !matches!(reply, Ok(Some(_)));
+        if replies.send(reply).is_err() || failed {
+            return;
+        }
+    }
+}
+
+/// One endpoint, how to reach it, and its live sessions: the idle ones,
+/// ready for reuse, and a count of all live ones (idle or in a round
+/// trip) that never exceeds `limit`. A round trip holds a [`Slot`] from
+/// [`checkout`](SessionPool::checkout).
+struct SessionPool {
+    endpoint: Endpoint,
+    connect_timeout: Duration,
+    io_timeout: Duration,
+    counters: Arc<Counters>,
+    slots: Mutex<(Vec<Session>, usize)>,
+    freed: Condvar,
+    limit: usize,
+    max_idle: usize,
+}
+
+/// Idle TCP streams kept per daemon. Beyond this, returned streams are
 /// simply closed — enough to cover the executor's concurrency without
 /// hoarding sockets.
 const MAX_IDLE_SESSIONS: usize = 8;
 
 impl SessionPool {
-    fn new() -> Self {
-        SessionPool { idle: Mutex::new(Vec::new()) }
+    fn lock(&self) -> MutexGuard<'_, (Vec<Session>, usize)> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<TcpStream>> {
-        self.idle.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Blocks until an idle session or a free slot is available; a slot
+    /// without a session is for a fresh one. Idle workers that have
+    /// exited are dropped on the way.
+    fn checkout(self: &Arc<Self>) -> Slot {
+        let mut slots = self.lock();
+        let session = loop {
+            let (idle, live) = &mut *slots;
+            if let Some(mut session) = idle.pop() {
+                if session.may_be_live() {
+                    break Some(session);
+                }
+                *live -= 1;
+                continue;
+            }
+            if *live < self.limit {
+                *live += 1;
+                break None;
+            }
+            slots = self.freed.wait(slots).unwrap_or_else(PoisonError::into_inner);
+        };
+        Slot { sessions: Arc::clone(self), session }
     }
+}
 
-    fn checkout(&self) -> Option<TcpStream> {
-        self.lock().pop()
-    }
+/// One taken live-session slot of a [`SessionPool`], with its session
+/// once one is open. Dropping it keeps a session whose exchange was
+/// clean for reuse while there is idle room; otherwise the slot frees.
+struct Slot {
+    sessions: Arc<SessionPool>,
+    session: Option<Session>,
+}
 
-    fn checkin(&self, stream: TcpStream) {
-        let mut idle = self.lock();
-        if idle.len() < MAX_IDLE_SESSIONS {
-            idle.push(stream);
-        }
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut slots = self.sessions.lock();
+        let surplus = match self.session.take() {
+            Some(session) if slots.0.len() < self.sessions.max_idle => {
+                slots.0.push(session);
+                None
+            }
+            session => {
+                slots.1 -= 1;
+                session
+            }
+        };
+        drop(slots);
+        self.sessions.freed.notify_one();
+        drop(surplus);
     }
 }
 
@@ -522,7 +771,8 @@ impl SessionPool {
 /// Why a shard could not be completed over the wire. Transport failures
 /// are environmental (retryable, hedgeable, degradable); execution
 /// failures came back in a typed envelope from a worker that ran the
-/// shard — deterministic, so retrying or falling back cannot change them.
+/// shard, or are a spawned worker's abnormal exit — deterministic, so
+/// retrying or falling back cannot change them.
 pub(crate) enum ShardFailure {
     Transport(XaiError),
     Execution(XaiError),
@@ -534,97 +784,84 @@ impl ShardFailure {
             ShardFailure::Transport(e) | ShardFailure::Execution(e) => e,
         }
     }
-
-    /// Whether this failure is a deterministic execution envelope (never
-    /// retried, never degraded) rather than an environmental one.
-    pub(crate) fn is_execution(&self) -> bool {
-        matches!(self, ShardFailure::Execution(_))
-    }
 }
 
 // ---------------------------------------------------------------------------
-// One TCP round trip
+// One round trip
 // ---------------------------------------------------------------------------
 
-/// Ships `payload` (a descriptor's canonical JSON) to `addr` and decodes
-/// the response, preferring an idle persistent session from `sessions`
-/// over a fresh TCP connect. Streams return to the pool after every
-/// healthy exchange (including typed execution envelopes — the
-/// *connection* worked). A daemon may close an idle pooled stream at any
-/// time, so a transport failure on a reused stream gets one transparent
-/// fresh-connection retry; failures on fresh connections always surface.
-/// Every failure mode maps onto a distinguishable class — see the module
-/// docs.
-fn request_once(
-    addr: SocketAddr,
-    label: &str,
-    payload: &[u8],
+/// A descriptor's canonical bytes (the frame payload and the shard-cache
+/// key) and the identity its reply must carry.
+struct ShardRequest {
+    payload: Arc<[u8]>,
+    method: String,
+    fingerprint: String,
     shard: usize,
-    connect_timeout: Duration,
-    io_timeout: Duration,
-    sessions: &SessionPool,
-    counters: &Counters,
-) -> Result<ShardResult, ShardFailure> {
-    let what = format!("shard {shard} -> {label}");
-    if let Some(stream) = sessions.checkout() {
-        counters.sessions_reused.fetch_add(1, Ordering::Relaxed);
-        match roundtrip(&stream, payload, shard, io_timeout, &what) {
-            Ok(result) => {
-                sessions.checkin(stream);
-                return Ok(result);
-            }
-            Err(ShardFailure::Execution(e)) => {
-                sessions.checkin(stream);
-                return Err(ShardFailure::Execution(e));
-            }
-            // A stale session (the daemon closed it while idle); drop
-            // the stream and fall through to a fresh connection.
-            Err(ShardFailure::Transport(_)) => {}
+    n_shards: usize,
+}
+
+impl ShardRequest {
+    fn new(desc: &ShardDescriptor) -> Self {
+        ShardRequest {
+            payload: desc.to_json_string().into_bytes().into(),
+            method: desc.method.clone(),
+            fingerprint: desc.fingerprint.clone(),
+            shard: desc.shard,
+            n_shards: desc.n_shards,
         }
     }
-    let stream = TcpStream::connect_timeout(&addr, connect_timeout)
-        .map_err(|e| {
-            ShardFailure::Transport(XaiError::from_io(&e, format_args!("{what}: connect")))
-        })?;
-    counters.connections_opened.fetch_add(1, Ordering::Relaxed);
-    match roundtrip(&stream, payload, shard, io_timeout, &what) {
-        Ok(result) => {
-            sessions.checkin(stream);
-            Ok(result)
-        }
-        Err(ShardFailure::Execution(e)) => {
-            sessions.checkin(stream);
-            Err(ShardFailure::Execution(e))
-        }
-        Err(failure) => Err(failure),
+
+    fn answered_by(&self, result: &ShardResult) -> bool {
+        result.method == self.method
+            && result.fingerprint == self.fingerprint
+            && result.shard == self.shard
+            && result.n_shards == self.n_shards
     }
 }
 
-/// One framed exchange on an established stream.
-fn roundtrip(
-    stream: &TcpStream,
-    payload: &[u8],
-    shard: usize,
-    io_timeout: Duration,
+/// The one frame round trip: exchange a request frame for a reply frame
+/// on the slot's pooled session, or on a fresh one, then decode the reply
+/// and check it against the request. Only a session whose exchange was
+/// clean stays in the slot. A pooled session [found
+/// dead](session_was_dead) is replaced by a fresh one once; every other
+/// failure surfaces as it is.
+fn request_once(slot: &mut Slot, request: &ShardRequest) -> Result<ShardResult, ShardFailure> {
+    let sessions = &slot.sessions;
+    let what = format!("shard {} -> {}", request.shard, sessions.endpoint);
+    loop {
+        let reused = slot.session.is_some();
+        let mut session = match slot.session.take() {
+            Some(session) => {
+                sessions.counters.sessions_reused.fetch_add(1, Ordering::Relaxed);
+                session
+            }
+            None => {
+                let session = sessions
+                    .endpoint
+                    .open(sessions.connect_timeout, &what)
+                    .map_err(ShardFailure::Transport)?;
+                sessions.counters.connections_opened.fetch_add(1, Ordering::Relaxed);
+                session
+            }
+        };
+        let outcome = match session.exchange(&request.payload, sessions.io_timeout, &what) {
+            Ok(bytes) => decode_reply(bytes, request, &what),
+            Err(failure) if reused && session_was_dead(&failure) => continue,
+            Err(failure) => return Err(failure),
+        };
+        if !matches!(outcome, Err(ShardFailure::Transport(_))) {
+            slot.session = Some(session);
+        }
+        return outcome;
+    }
+}
+
+fn decode_reply(
+    bytes: Vec<u8>,
+    request: &ShardRequest,
     what: &str,
 ) -> Result<ShardResult, ShardFailure> {
     let transport = ShardFailure::Transport;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    write_frame(&mut &*stream, payload, what).map_err(ShardFailure::Transport)?;
-    let bytes = match read_frame(&mut &*stream, what) {
-        Ok(bytes) => bytes,
-        // An expired read deadline while waiting for the response is the
-        // worker blowing its per-shard deadline, not a socket mishap.
-        Err(XaiError::Io { kind: IoKind::Timeout, .. }) => {
-            return Err(transport(XaiError::BudgetExceeded {
-                context: format!("{what}: no response within the {io_timeout:?} deadline"),
-                completed: 0,
-            }))
-        }
-        Err(e) => return Err(transport(e)),
-    };
     let text = String::from_utf8(bytes)
         .map_err(|_| transport(wire_error(format!("{what}: response is not UTF-8"))))?;
     let json = crate::json_parse::parse_json(&text).map_err(|_| {
@@ -636,16 +873,18 @@ fn roundtrip(
     if is_error_envelope(&json) {
         let err = match error_from_json(&json).map_err(ShardFailure::Transport)? {
             // The worker may not know its shard index at panic time.
-            XaiError::WorkerPanic { message, .. } => XaiError::WorkerPanic { task: shard, message },
+            XaiError::WorkerPanic { message, .. } => {
+                XaiError::WorkerPanic { task: request.shard, message }
+            }
             other => other,
         };
         return Err(ShardFailure::Execution(err));
     }
     let result = ShardResult::from_json(&json).map_err(ShardFailure::Transport)?;
-    if result.shard != shard {
+    if !request.answered_by(&result) {
         return Err(transport(wire_error(format!(
-            "{what}: worker answered for shard {} (lying worker)",
-            result.shard
+            "{what}: worker answered '{}' shard {}/{} of model {} (lying worker)",
+            result.method, result.shard, result.n_shards, result.fingerprint
         ))));
     }
     Ok(result)
@@ -670,15 +909,15 @@ pub struct ClusterOutcome {
     pub stats: ClusterStats,
 }
 
-/// Failure-first coordinator for shard execution across TCP endpoints.
+/// Failure-first coordinator for shard execution across worker
+/// endpoints: TCP daemons, or the spawned workers of a process pool.
 /// See the module docs for the supervision design.
 pub struct ClusterRunner {
     config: ClusterConfig,
-    addrs: Vec<SocketAddr>,
     health: HealthTracker,
     counters: Arc<Counters>,
     sessions: Vec<Arc<SessionPool>>,
-    shard_cache: Option<ShardCache>,
+    pub(crate) shard_cache: Option<Arc<ShardCache>>,
 }
 
 impl ClusterRunner {
@@ -691,32 +930,54 @@ impl ClusterRunner {
                 context: "cluster transport needs at least one endpoint".into(),
             });
         }
-        assert!(config.retry.max_attempts >= 1, "need at least one attempt per shard");
-        let addrs = config
+        let endpoints = config
             .endpoints
             .iter()
             .map(|ep| {
-                ep.parse::<SocketAddr>().map_err(|e| {
+                ep.parse::<SocketAddr>().map(Endpoint::Tcp).map_err(|e| {
                     wire_error(format!("cluster endpoint '{ep}' is not a socket address: {e}"))
                 })
             })
-            .collect::<XaiResult<Vec<SocketAddr>>>()?;
+            .collect::<XaiResult<Vec<Endpoint>>>()?;
+        Ok(ClusterRunner::over(config, endpoints, usize::MAX, MAX_IDLE_SESSIONS))
+    }
+
+    /// A runner over resolved endpoints, each holding at most
+    /// `max_live` sessions at once and keeping at most `max_idle` of
+    /// them for reuse. The endpoints, not `config.endpoints`, name the
+    /// health entries.
+    pub(crate) fn over(
+        config: ClusterConfig,
+        endpoints: Vec<Endpoint>,
+        max_live: usize,
+        max_idle: usize,
+    ) -> ClusterRunner {
+        assert!(config.retry.max_attempts >= 1, "need at least one attempt per shard");
+        assert!(max_live >= 1, "need at least one session (worker process) per endpoint");
         let health = HealthTracker::new(
-            config.endpoints.clone(),
+            endpoints.iter().map(ToString::to_string).collect(),
             config.breaker_threshold,
             config.breaker_cooldown,
         );
-        let sessions = addrs.iter().map(|_| Arc::new(SessionPool::new())).collect();
+        let counters = Arc::new(Counters::default());
+        let sessions = endpoints
+            .into_iter()
+            .map(|endpoint| {
+                Arc::new(SessionPool {
+                    endpoint,
+                    connect_timeout: config.connect_timeout,
+                    io_timeout: config.io_timeout,
+                    counters: Arc::clone(&counters),
+                    slots: Mutex::new((Vec::new(), 0)),
+                    freed: Condvar::new(),
+                    limit: max_live,
+                    max_idle,
+                })
+            })
+            .collect();
         let shard_cache = (config.shard_cache_capacity > 0)
-            .then(|| ShardCache::new(config.shard_cache_capacity));
-        Ok(ClusterRunner {
-            config,
-            addrs,
-            health,
-            counters: Arc::new(Counters::default()),
-            sessions,
-            shard_cache,
-        })
+            .then(|| Arc::new(ShardCache::new(config.shard_cache_capacity)));
+        ClusterRunner { config, health, counters, sessions, shard_cache }
     }
 
     /// The configuration this runner was built from.
@@ -756,79 +1017,97 @@ impl ClusterRunner {
     /// First admittable endpoint scanning from `start`, skipping
     /// `exclude`. `None` when every breaker is open and cooling down.
     fn pick_endpoint(&self, start: usize, exclude: Option<usize>) -> Option<usize> {
-        let n = self.addrs.len();
+        let n = self.sessions.len();
         (0..n).map(|k| (start + k) % n).find(|&i| Some(i) != exclude && self.health.admit(i))
     }
 
     /// Launches one round trip on a detached thread; the result arrives
-    /// on `tx` tagged with the endpoint index. Detached is deliberate:
-    /// a hedged loser must not block the winner, and every socket
-    /// operation carries a deadline, so the thread always terminates.
+    /// on `tx` with the endpoint index and the slot, so the supervisor
+    /// decides when the slot frees. The slot is taken here, on the
+    /// caller's thread, so waiting for it never counts against a round
+    /// trip's bound; once it is taken, a failed job launches nothing
+    /// (`false`). Detached is deliberate: a hedged loser must not block
+    /// the winner, and every exchange carries a deadline, so the thread
+    /// always terminates.
     fn launch(
         &self,
         endpoint: usize,
-        payload: &Arc<[u8]>,
-        shard: usize,
-        tx: &mpsc::Sender<(usize, Result<ShardResult, ShardFailure>)>,
-    ) {
-        let addr = self.addrs[endpoint];
-        let label = self.config.endpoints[endpoint].clone();
-        let payload = Arc::clone(payload);
-        let (connect_timeout, io_timeout) = (self.config.connect_timeout, self.config.io_timeout);
-        let sessions = Arc::clone(&self.sessions[endpoint]);
-        let counters = Arc::clone(&self.counters);
+        request: &Arc<ShardRequest>,
+        job_failed: &AtomicBool,
+        tx: &mpsc::Sender<(usize, Result<ShardResult, ShardFailure>, Slot)>,
+    ) -> bool {
+        let mut slot = self.sessions[endpoint].checkout();
+        if job_failed.load(Ordering::Relaxed) {
+            return false;
+        }
+        let request = Arc::clone(request);
         let tx = tx.clone();
         self.counters.attempts.fetch_add(1, Ordering::Relaxed);
         std::thread::spawn(move || {
-            let outcome = request_once(
-                addr,
-                &label,
-                &payload,
-                shard,
-                connect_timeout,
-                io_timeout,
-                &sessions,
-                &counters,
-            );
-            let _ = tx.send((endpoint, outcome));
+            let outcome = request_once(&mut slot, &request);
+            // Unheard (the supervisor moved on), the slot drops here.
+            let _ = tx.send((endpoint, outcome, slot));
         });
+        true
     }
 
-    /// Supervises one shard to completion. The descriptor is encoded
-    /// once: those bytes key the shard cache and are the frame payload.
-    /// A cache hit skips the network entirely, and a fresh success is
-    /// inserted so a later retry, hedge, or repeat of the same
-    /// (fingerprint, descriptor) key is answered locally.
-    fn run_shard(&self, desc: &ShardDescriptor) -> Result<ShardResult, ShardFailure> {
-        let payload: Arc<[u8]> = desc.to_json_string().into_bytes().into();
-        let Some(cache) = &self.shard_cache else {
-            return self.run_shard_transport(desc.shard, &payload);
-        };
-        let key = descriptor_cache_key(&desc.fingerprint, &payload);
-        if let Some(result) = cache.get(&key) {
-            return Ok(result);
+    /// Supervises one shard to completion and reports whether the shard
+    /// cache hit (`Some(true)`), missed (`Some(false)`) or is absent;
+    /// `None` when the shard was not started because its job had failed.
+    /// The descriptor is encoded once: those bytes key the shard cache
+    /// and are the frame payload. A fresh success is inserted so a later
+    /// retry, hedge, or repeat of the same key is answered locally.
+    fn run_shard(
+        &self,
+        desc: &ShardDescriptor,
+        job_failed: &AtomicBool,
+    ) -> Option<(Result<ShardResult, ShardFailure>, Option<bool>)> {
+        let request = Arc::new(ShardRequest::new(desc));
+        let cached = self
+            .shard_cache
+            .as_ref()
+            .map(|cache| (cache, descriptor_cache_key(&desc.fingerprint, &request.payload)));
+        if let Some(result) = cached.and_then(|(cache, key)| cache.get(&key)) {
+            return Some((Ok(result), Some(true)));
         }
-        let outcome = self.run_shard_transport(desc.shard, &payload);
-        if let Ok(result) = &outcome {
-            cache.insert(key, result.clone());
+        // Failed dispatches keep their slots until this shard's outcome
+        // is known, so a failure that fails the job marks it before any
+        // slot frees for another of its shards.
+        let mut spent = Vec::new();
+        let outcome = self.run_shard_transport(&request, job_failed, &mut spent)?;
+        match (&outcome, cached) {
+            (Ok(result), Some((cache, key))) => cache.insert(key, result.clone()),
+            (Err(ShardFailure::Execution(_)), _) => job_failed.store(true, Ordering::Relaxed),
+            (Err(_), _) if self.config.fallback == FallbackPolicy::Fail => {
+                job_failed.store(true, Ordering::Relaxed)
+            }
+            _ => {}
         }
-        outcome
+        drop(spent);
+        Some((outcome, cached.map(|_| false)))
     }
 
     /// Supervises one shard over the wire: retry with backoff across
-    /// healthy endpoints, hedge stragglers, classify failures.
+    /// healthy endpoints, hedge stragglers, classify failures. The slots
+    /// of the final attempt's failed dispatches go to `spent`; `None`
+    /// when the job failed before this shard could launch.
     fn run_shard_transport(
         &self,
-        shard: usize,
-        payload: &Arc<[u8]>,
-    ) -> Result<ShardResult, ShardFailure> {
+        request: &Arc<ShardRequest>,
+        job_failed: &AtomicBool,
+        spent: &mut Vec<Slot>,
+    ) -> Option<Result<ShardResult, ShardFailure>> {
+        let shard = request.shard;
         // Upper bound on one round trip; recv waits are always bounded by
-        // this, so a wedged socket can never wedge the supervisor.
+        // this, so a wedged session can never wedge the supervisor.
+        // Saturating: an unbounded pool deadline is `Duration::MAX`.
+        let (connect, io) = (self.config.connect_timeout, self.config.io_timeout);
         let trip_bound =
-            self.config.connect_timeout + self.config.io_timeout * 2 + Duration::from_millis(500);
+            connect.saturating_add(io.saturating_mul(2)).saturating_add(Duration::from_millis(500));
         let mut last: Option<ShardFailure> = None;
         for attempt in 0..self.config.retry.max_attempts {
             if attempt > 0 {
+                spent.clear();
                 self.counters.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(self.config.retry.backoff(shard, attempt - 1));
             }
@@ -847,70 +1126,48 @@ impl ClusterRunner {
                 continue;
             };
             let (tx, rx) = mpsc::channel();
-            self.launch(primary, payload, shard, &tx);
-            let mut inflight = 1usize;
-            let mut hedged = false;
+            if !self.launch(primary, request, job_failed, &tx) {
+                return None;
+            }
             let started = Instant::now();
-
+            let (mut inflight, mut hedged) = (1usize, false);
             // Straggler hedge: if the primary has not answered within
             // `hedge_after`, duplicate the shard onto a second endpoint.
-            if let Some(threshold) = self.config.hedge_after {
-                match rx.recv_timeout(threshold) {
-                    Ok((ep, Ok(result))) => {
-                        self.health.record_success(ep);
-                        return Ok(result);
-                    }
-                    Ok((ep, Err(failure))) => {
-                        match failure {
-                            ShardFailure::Execution(e) => {
-                                // The endpoint worked; the shard itself
-                                // failed — deterministic, don't retry.
-                                self.health.record_success(ep);
-                                return Err(ShardFailure::Execution(e));
-                            }
-                            ShardFailure::Transport(e) => {
-                                self.health.record_failure(ep);
-                                self.counters.transport_failures.fetch_add(1, Ordering::Relaxed);
-                                last = Some(ShardFailure::Transport(e));
-                                continue;
-                            }
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if let Some(secondary) =
-                            self.pick_endpoint(shard + attempt + 1, Some(primary))
-                        {
-                            self.launch(secondary, payload, shard, &tx);
-                            self.counters.hedges.fetch_add(1, Ordering::Relaxed);
-                            inflight += 1;
-                            hedged = true;
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => unreachable!("tx held locally"),
-                }
-            }
+            let mut hedge_at = self.config.hedge_after.filter(|&at| at < trip_bound);
 
             // Collect until a result wins or every in-flight dispatch of
             // this attempt has failed.
             while inflight > 0 {
-                let remaining = trip_bound.saturating_sub(started.elapsed());
-                match rx.recv_timeout(remaining) {
-                    Ok((ep, Ok(result))) => {
+                let wait = hedge_at.unwrap_or(trip_bound).saturating_sub(started.elapsed());
+                match rx.recv_timeout(wait) {
+                    Ok((ep, Ok(result), _)) => {
                         self.health.record_success(ep);
                         if hedged && ep != primary {
                             self.counters.hedge_wins.fetch_add(1, Ordering::Relaxed);
                         }
-                        return Ok(result);
+                        return Some(Ok(result));
                     }
-                    Ok((ep, Err(ShardFailure::Execution(e)))) => {
+                    Ok((ep, Err(ShardFailure::Execution(e)), slot)) => {
+                        // The endpoint worked; the shard itself failed —
+                        // deterministic, don't retry.
+                        spent.push(slot);
                         self.health.record_success(ep);
-                        return Err(ShardFailure::Execution(e));
+                        return Some(Err(ShardFailure::Execution(e)));
                     }
-                    Ok((ep, Err(ShardFailure::Transport(e)))) => {
+                    Ok((ep, Err(ShardFailure::Transport(e)), slot)) => {
+                        spent.push(slot);
                         self.health.record_failure(ep);
                         self.counters.transport_failures.fetch_add(1, Ordering::Relaxed);
                         last = Some(ShardFailure::Transport(e));
                         inflight -= 1;
+                    }
+                    Err(_) if hedge_at.take().is_some() => {
+                        let secondary = self.pick_endpoint(shard + attempt + 1, Some(primary));
+                        if secondary.is_some_and(|ep| self.launch(ep, request, job_failed, &tx)) {
+                            self.counters.hedges.fetch_add(1, Ordering::Relaxed);
+                            inflight += 1;
+                            hedged = true;
+                        }
                     }
                     Err(_) => {
                         // The trip bound elapsed with sockets still out —
@@ -929,46 +1186,54 @@ impl ClusterRunner {
                 }
             }
         }
-        Err(last.unwrap_or_else(|| {
+        Some(Err(last.unwrap_or_else(|| {
             ShardFailure::Transport(XaiError::io(
                 IoKind::Other,
                 format!("shard {shard}: no transport attempt was possible"),
             ))
-        }))
+        })))
     }
 
     /// Runs every descriptor, keeping the transport/execution failure
-    /// classification — the dispatch core shared with
-    /// [`crate::backend::execute_cluster`].
+    /// classification, and counts this dispatch's own shard-cache
+    /// `(hits, misses)` — the dispatch core shared with
+    /// [`crate::backend::execute_cluster`]. Once a shard fails the job
+    /// (an execution failure, or any failure under
+    /// [`FallbackPolicy::Fail`]), shards not yet launched are skipped.
     pub(crate) fn run_classified(
         &self,
         descs: &[ShardDescriptor],
-    ) -> Result<Vec<ShardResult>, ShardFailure> {
-        let outcomes: Vec<Result<ShardResult, ShardFailure>> = std::thread::scope(|scope| {
+    ) -> (Result<Vec<ShardResult>, ShardFailure>, (u64, u64)) {
+        let job_failed = AtomicBool::new(false);
+        let outcomes: Vec<_> = std::thread::scope(|scope| {
+            let job_failed = &job_failed;
             let handles: Vec<_> =
-                descs.iter().map(|d| scope.spawn(move || self.run_shard(d))).collect();
+                descs.iter().map(|d| scope.spawn(move || self.run_shard(d, job_failed))).collect();
             handles
                 .into_iter()
-                .map(|h| {
+                .filter_map(|h| {
                     h.join().unwrap_or_else(|_| {
-                        Err(ShardFailure::Transport(XaiError::io(
+                        let panicked = XaiError::io(
                             IoKind::Other,
                             "shard supervisor thread panicked".to_string(),
-                        )))
+                        );
+                        Some((Err(ShardFailure::Transport(panicked)), None))
                     })
                 })
                 .collect()
         });
-        // Sequence in shard order so the lowest-indexed failing shard
-        // wins deterministically, independent of scheduling.
-        outcomes.into_iter().collect()
+        let count = |hit: bool| outcomes.iter().filter(|(_, h)| *h == Some(hit)).count() as u64;
+        let lookups = (count(true), count(false));
+        // Sequence in shard order so the lowest-indexed failure among the
+        // shards that ran wins; skipped shards only follow a failure.
+        (outcomes.into_iter().map(|(outcome, _)| outcome).collect(), lookups)
     }
 
     /// Executes pre-built descriptors across the cluster and returns the
     /// results in shard order. The transport primitive under
     /// [`ClusterRunner::explain`]; no fallback is applied here.
     pub fn run_descriptors(&self, descs: &[ShardDescriptor]) -> XaiResult<Vec<ShardResult>> {
-        self.run_classified(descs).map_err(ShardFailure::into_error)
+        self.run_classified(descs).0.map_err(ShardFailure::into_error)
     }
 
     /// The whole story: cut the request into `n_shards` descriptors, ship
@@ -1018,36 +1283,32 @@ pub fn explain_cluster(
 // The daemon side of one connection
 // ---------------------------------------------------------------------------
 
-/// Serves one accepted connection as a persistent framed session: read
-/// descriptor frames until the peer closes cleanly, executing each via
-/// `execute` and answering with a result frame — or a typed error
-/// envelope frame, so the peer always learns *why*. Returns the number
-/// of frames served. The executor is a closure because only the facade
-/// crate knows how to rebuild models and methods; panics inside it must
-/// already be caught there.
+/// The worker's one session loop, over a TCP connection (the daemon) or
+/// over stdin and stdout (a pool worker): read descriptor frames from
+/// `input` until the peer closes cleanly, executing each via `execute`
+/// and answering on `output` with the reply it returns — or a typed
+/// error envelope frame, so the peer always learns *why*. Returns the
+/// number of frames served. The caller sets any socket timeouts. The
+/// executor is a closure because only the facade crate knows how to
+/// rebuild models and methods; panics inside it must already be caught
+/// there.
 pub fn serve_connection(
-    stream: &TcpStream,
-    io_timeout: Duration,
-    execute: &dyn Fn(&str) -> XaiResult<ShardResult>,
+    mut input: impl Read,
+    mut output: impl Write,
+    execute: &dyn Fn(&str) -> XaiResult<String>,
 ) -> XaiResult<u64> {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(io_timeout));
-    let _ = stream.set_write_timeout(Some(io_timeout));
-    let what = "shard daemon";
+    let what = "shard worker session";
     let mut served = 0u64;
     loop {
-        let Some(bytes) = read_frame_or_eof(&mut &*stream, what)? else {
+        let Some(bytes) = read_frame_or_eof(&mut input, what)? else {
             return Ok(served);
         };
         let reply = match String::from_utf8(bytes) {
-            Ok(text) => match execute(&text) {
-                Ok(result) => result.to_json_string(),
-                Err(e) => error_to_json(&e).to_json(),
-            },
+            Ok(text) => execute(&text).unwrap_or_else(|e| error_to_json(&e).to_json()),
             Err(_) => error_to_json(&wire_error(format!("{what}: request frame is not UTF-8")))
                 .to_json(),
         };
-        write_frame(&mut &*stream, reply.as_bytes(), what)?;
+        write_frame(&mut output, reply.as_bytes(), what)?;
         served += 1;
     }
 }

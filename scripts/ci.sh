@@ -15,6 +15,18 @@ export RUSTFLAGS="${RUSTFLAGS:--D warnings}"
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
+# Process-leak gate: the test suites, examples and servebench smokes
+# below spawn xai-shard-worker pool workers and daemons, and must reap
+# every one. Count this user's workers now and again after the smokes.
+# `-f` matches the full command line, because `comm` cuts the
+# 16-character name to 15.
+count_workers() {
+    pgrep -u "$(id -u)" -f '/xai-shard-worker( |$)' | wc -l
+}
+WORKERS_BEFORE="$(count_workers)"
+echo "==> process-leak gate: $WORKERS_BEFORE xai-shard-worker processes before the suites" \
+    "(only growth during this CI run counts; processes that were already running are left alone)"
+
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
@@ -137,6 +149,15 @@ for WORKLOAD in local-cold local-hot remote-sharded; do
         exit 1
     fi
 done
+
+WORKERS_AFTER="$(count_workers)"
+echo "==> process-leak gate: $WORKERS_AFTER xai-shard-worker processes after the smokes" \
+    "(this CI run's growth only)"
+if [ "$WORKERS_AFTER" -gt "$WORKERS_BEFORE" ]; then
+    echo "ci.sh: this CI run left $((WORKERS_AFTER - WORKERS_BEFORE)) xai-shard-worker processes behind:" >&2
+    pgrep -a -u "$(id -u)" -f '/xai-shard-worker( |$)' >&2 || true
+    exit 1
+fi
 
 # Execution-substrate call-site gate (DESIGN.md §14): new code must go
 # through the ExecutionBackend trait, not call the raw process-pool or

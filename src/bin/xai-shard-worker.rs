@@ -1,13 +1,15 @@
-//! Shard worker process, in two modes:
+//! Shard worker process. Both modes serve the same persistent framed
+//! session (`xai::transport::serve_connection`): each `ShardDescriptor`
+//! frame is answered with a canonical `ShardResult` frame or a shard
+//! error envelope, until the peer closes.
 //!
-//! - **stdin mode** (no arguments): reads one `ShardDescriptor` as JSON
-//!   on stdin, writes one canonical `ShardResult` (or a shard error
-//!   envelope) on stdout. Spawned by `xai::shard::explain_process_pool`;
-//!   see DESIGN.md §11.
-//! - **daemon mode** (`--listen addr:port`): serves descriptors over the
-//!   length-prefixed TCP shard transport, one per connection, until
-//!   killed. Use port `0` for an ephemeral port; the bound address is
-//!   announced as `listening on {addr}` on stdout. See DESIGN.md §13.
+//! - **stdio mode** (no arguments): one session on stdin and stdout,
+//!   exiting 0 when stdin closes. Spawned and kept by the process pool
+//!   (`ProcessPoolBackend`); see DESIGN.md §11.
+//! - **daemon mode** (`--listen addr:port`): one session per accepted
+//!   TCP connection, many connections at once, until killed. Use port
+//!   `0` for an ephemeral port; the bound address is announced as
+//!   `listening on {addr}` on stdout. See DESIGN.md §13.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -12,15 +12,15 @@
 //!   workspace model from its descriptor JSON, usable as a
 //!   [`ModelOracle`].
 //! - [`explain_process_pool`] — a thin convenience over
-//!   [`xai_core::backend::ProcessPoolBackend`]: one OS process per shard
-//!   (waves of `max_procs`), descriptor on the worker's stdin, canonical
-//!   result or error envelope on its stdout, typed errors for every
-//!   worker failure mode and a hard deadline so a stuck worker can never
-//!   hang the caller.
+//!   [`xai_core::backend::ProcessPoolBackend`]: up to `max_procs` worker
+//!   processes, each a persistent framed session on its stdin and
+//!   stdout, typed errors for every worker failure mode and a deadline
+//!   on every frame exchange so a stuck worker can never hang the caller.
 //! - [`run_worker`] — the worker side, wrapped by the
-//!   `xai-shard-worker` binary: parse, execute, answer. A worker exits 0
-//!   even on typed failures (the error travels in the envelope); only
-//!   catastrophic states exit non-zero.
+//!   `xai-shard-worker` binary: the same session loop as the TCP daemon
+//!   ([`xai_core::transport::serve_connection`]) over stdin and stdout.
+//!   Typed failures travel in error envelopes; the worker exits 0 when
+//!   its stdin closes.
 //!
 //! ```no_run
 //! use xai::prelude::*;
@@ -39,11 +39,11 @@
 //! assert_eq!(sharded.to_json_string(), local.to_json_string());
 //! ```
 
-use std::io::Read;
 use std::path::PathBuf;
 use std::time::Duration;
 
 use xai_core::backend::{BackendJob, ExecutionBackend, ProcessPoolBackend};
+use xai_core::transport::serve_connection;
 use xai_core::{ExplainRequest, Explanation, Json, ModelOracle, XaiError, XaiResult};
 use xai_models::Persist;
 
@@ -169,12 +169,13 @@ pub fn resolve_model(json: &Json) -> XaiResult<PersistedModel> {
 
 /// Runs a shard plan across OS processes — a thin convenience over
 /// [`ProcessPoolBackend`] for callers holding a typed [`Persist`] model.
-/// The backend cuts the request into descriptors, executes them in waves
-/// of [`PoolConfig::max_procs`] worker processes (descriptor on stdin,
-/// result on stdout), then merges the partials — bit-identical to
+/// The backend cuts the request into descriptors, ships them to at most
+/// [`PoolConfig::max_procs`] worker processes over their stdin/stdout
+/// sessions, then merges the partials — bit-identical to
 /// `explainer.explain(model, req)` on the parallel path, at any shard
-/// count. Worker failure modes all surface as typed errors, never a
-/// hang; see the backend docs for the full taxonomy.
+/// count. The pool lives for this one call; keep a [`ProcessPoolBackend`]
+/// to reuse its workers. Worker failure modes all surface as typed
+/// errors, never a hang; see the backend docs for the full taxonomy.
 pub fn explain_process_pool<M: ModelOracle + Persist>(
     explainer: &dyn ShardableExplainer,
     model: &M,
@@ -191,7 +192,7 @@ pub fn explain_process_pool<M: ModelOracle + Persist>(
 // The worker side
 // ---------------------------------------------------------------------------
 
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     payload
         .downcast_ref::<&str>()
         .map(|s| (*s).to_string())
@@ -201,8 +202,7 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Executes one wire-form descriptor end to end: parse, rebuild the
 /// model (verifying the fingerprint), rebuild the method, run the chunk
-/// range. Shared by the stdin worker ([`run_worker`]) and the TCP daemon
-/// (`xai::transport`).
+/// range.
 pub fn execute_wire_text(input: &str) -> XaiResult<ShardResult> {
     let desc = ShardDescriptor::from_json_str(input)?;
     let model = resolve_model(&desc.model)?;
@@ -217,50 +217,45 @@ pub fn execute_wire_text(input: &str) -> XaiResult<ShardResult> {
     execute_descriptor(&desc, explainer.as_ref(), &model)
 }
 
-/// The `xai-shard-worker` entry point: read one [`ShardDescriptor`] from
-/// stdin, write one canonical [`ShardResult`] — or a shard error
-/// envelope — to stdout, and return the process exit code.
-///
-/// Handled paths always exit 0; the pool distinguishes success from
-/// typed failure by the payload, not the exit code, so an envelope is
-/// never mistaken for a crash. A caught panic becomes a `worker_panic`
-/// envelope. The `XAI_SHARD_FAULT` variable (`panic`, `garbage`, `exit`,
-/// `hang`) injects failure modes for the supervision tests.
-pub fn run_worker() -> i32 {
-    let fault = std::env::var("XAI_SHARD_FAULT").unwrap_or_default();
-    match fault.as_str() {
-        "garbage" => {
-            println!("this is not shard JSON {{");
-            return 0;
-        }
-        "exit" => return 3,
+/// The executor the stdin/stdout worker and the TCP daemon both hand to
+/// [`serve_connection`]; a caught panic is [`XaiError::WorkerPanic`].
+/// `fault` is an injected `XAI_SHARD_FAULT` mode: `panic`, `garbage` (a
+/// reply that is not JSON), `exit` (status 3, no reply) or `hang`.
+pub(crate) fn answer_frame(text: &str, fault: &str) -> XaiResult<String> {
+    match fault {
+        "garbage" => return Ok("this is not shard JSON {".into()),
+        "exit" => std::process::exit(3),
         "hang" => loop {
             std::thread::sleep(Duration::from_secs(3600));
         },
         _ => {}
     }
-    let mut input = String::new();
-    if let Err(e) = std::io::stdin().read_to_string(&mut input) {
-        let err = XaiError::from_io(&e, "reading shard descriptor from stdin");
-        println!("{}", error_to_json(&err).to_json());
-        return 0;
-    }
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    std::panic::catch_unwind(|| {
         if fault == "panic" {
             panic!("injected shard worker fault");
         }
-        execute_wire_text(&input)
-    }));
-    let text = match outcome {
-        Ok(Ok(result)) => result.to_json_string(),
-        Ok(Err(e)) => error_to_json(&e).to_json(),
-        Err(payload) => {
-            let err = XaiError::WorkerPanic { task: 0, message: panic_message(payload) };
-            error_to_json(&err).to_json()
+        execute_wire_text(text)
+    })
+    .unwrap_or_else(|payload| Err(XaiError::WorkerPanic { task: 0, message: panic_message(payload) }))
+    .map(|result| result.to_json_string())
+}
+
+/// The `xai-shard-worker` entry point with no arguments: serve one
+/// framed session on stdin and stdout with the TCP daemon's loop
+/// ([`serve_connection`]) and return the exit code: 0 once stdin closes,
+/// so no worker outlives its coordinator, 1 on a broken pipe. Typed
+/// failures travel in envelopes. `XAI_SHARD_FAULT` (`panic`, `garbage`,
+/// `exit`, `hang`) injects failure modes for the supervision tests.
+pub fn run_worker() -> i32 {
+    let fault = std::env::var("XAI_SHARD_FAULT").unwrap_or_default();
+    let execute = |text: &str| answer_frame(text, &fault);
+    match serve_connection(std::io::stdin().lock(), std::io::stdout().lock(), &execute) {
+        Ok(_) => 0,
+        Err(e) => {
+            eprintln!("xai-shard-worker: session failed: {e}");
+            1
         }
-    };
-    println!("{text}");
-    0
+    }
 }
 
 /// Locates the sibling `xai-shard-worker` binary next to the current

@@ -4,12 +4,12 @@
 //! [`ClusterRunner`] (re-exported wholesale here); this module owns
 //! everything that needs the full method registry: [`run_daemon`] turns
 //! the `xai-shard-worker` binary into a TCP daemon (`--listen addr:port`)
-//! that serves a persistent session per connection — one
-//! [`ShardDescriptor`] frame per request, looped until the client closes
-//! the stream — executing each through
-//! [`crate::shard::execute_wire_text`] (rebuilding model and method from
-//! their persisted forms) and answering with a [`ShardResult`] frame or
-//! a typed shard error envelope.
+//! that serves a persistent session per connection — the same loop
+//! ([`serve_connection`]) and the same executor a pool worker runs on
+//! its stdin and stdout — executing each [`ShardDescriptor`] frame
+//! through [`crate::shard::execute_wire_text`] (rebuilding model and
+//! method from their persisted forms) and answering with a
+//! [`ShardResult`] frame or a typed shard error envelope.
 //!
 //! For the supervision tests, `XAI_TRANSPORT_FAULT` injects daemon-side
 //! failure modes (`kill`, `hang`, `garbage`, `partial`, `panic`,
@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use xai_core::{IoKind, XaiError, XaiResult};
 
-use crate::shard::{execute_wire_text, panic_message};
+use crate::shard::answer_frame;
 
 pub use xai_core::transport::*;
 
@@ -71,7 +71,7 @@ enum FaultMode {
     /// then close — a short read.
     Partial,
     /// Panic inside shard execution — caught and returned as a
-    /// `worker_panic` envelope, exactly like the stdin worker.
+    /// `worker_panic` envelope, exactly like a pool worker.
     Panic,
 }
 
@@ -156,22 +156,6 @@ fn inject_fault(mode: FaultMode, stream: &TcpStream) -> bool {
 // The daemon
 // ---------------------------------------------------------------------------
 
-/// Executes one wire-form descriptor, converting panics into typed
-/// errors so a poisoned shard produces a `worker_panic` envelope instead
-/// of tearing down the daemon.
-fn execute_caught(text: &str, force_panic: bool) -> XaiResult<crate::shard::ShardResult> {
-    let outcome = std::panic::catch_unwind(|| {
-        if force_panic {
-            panic!("injected transport fault: panic");
-        }
-        execute_wire_text(text)
-    });
-    match outcome {
-        Ok(result) => result,
-        Err(payload) => Err(XaiError::WorkerPanic { task: 0, message: panic_message(payload) }),
-    }
-}
-
 /// Runs the shard daemon: bind `addr` (use port 0 for an ephemeral
 /// port), print `listening on {local_addr}` on stdout so a parent
 /// process can discover the port, then serve a persistent session per
@@ -208,18 +192,21 @@ pub fn run_daemon(addr: &str) -> i32 {
                 continue;
             }
         };
-        let force_panic = match &fault {
+        let frame_fault = match &fault {
             Some(plan) if plan.applies() => {
                 if inject_fault(plan.mode, &stream) {
                     continue;
                 }
-                true // FaultMode::Panic reaches execution
+                "panic" // FaultMode::Panic reaches execution
             }
-            _ => false,
+            _ => "",
         };
         std::thread::spawn(move || {
-            let execute = |text: &str| execute_caught(text, force_panic);
-            if let Err(e) = serve_connection(&stream, DAEMON_IO_TIMEOUT, &execute) {
+            let _ = stream.set_nodelay(true);
+            let _ = stream.set_read_timeout(Some(DAEMON_IO_TIMEOUT));
+            let _ = stream.set_write_timeout(Some(DAEMON_IO_TIMEOUT));
+            let execute = |text: &str| answer_frame(text, frame_fault);
+            if let Err(e) = serve_connection(&stream, &stream, &execute) {
                 eprintln!("xai-shard-worker: connection failed: {e}");
             }
         });

@@ -453,3 +453,67 @@ fn serve_counts_shard_cache_hits() {
     assert_eq!(stats.shard_cache_hits, 2, "warm run hits once per shard");
     assert_eq!(stats.cluster_completed, 2);
 }
+
+#[test]
+fn concurrent_jobs_count_only_their_own_shard_cache_lookups() {
+    let (data, model) = fixture(20, 21);
+    let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
+    let daemons = spawn_daemons(2);
+    let backend = ClusterBackend::from_config(cluster_config(&daemons)).expect("backend");
+    let (jobs, n_shards) = (4, 3);
+    let start = std::sync::Barrier::new(jobs);
+    let outcomes: Vec<BackendOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..jobs)
+            .map(|_| {
+                scope.spawn(|| {
+                    let job = BackendJob::new(&LooMethod, &model, &req, n_shards)
+                        .with_model_json(model.save());
+                    start.wait();
+                    backend.execute(&job).expect("cluster run")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("job thread")).collect()
+    });
+    for outcome in &outcomes {
+        assert_eq!(
+            outcome.shard_cache_hits + outcome.shard_cache_misses,
+            n_shards as u64,
+            "a job must count its own lookups only"
+        );
+    }
+    let stats = backend.runner().stats();
+    assert_eq!(
+        stats.shard_cache_hits + stats.shard_cache_misses,
+        (jobs * n_shards) as u64,
+        "the runner saw every lookup once"
+    );
+}
+
+#[test]
+fn the_pool_keeps_its_workers_between_jobs() {
+    let (data, model) = fixture(20, 21);
+    let req = ExplainRequest::new(&data).plan(RunConfig::seeded(19).with_workers(2));
+    let reference = LooMethod.explain(&model, &req).expect("direct explain").to_json_string();
+    let max_procs = 2;
+    let pool = ProcessPoolBackend::new(PoolConfig { max_procs, ..PoolConfig::new(worker_exe()) });
+    let job = BackendJob::new(&LooMethod, &model, &req, 3).with_model_json(model.save());
+
+    let first = pool.execute(&job).expect("run 1");
+    let after_first = pool.stats();
+    let spawned = after_first.connections_opened;
+    assert!(
+        (1..=max_procs as u64).contains(&spawned),
+        "{spawned} workers spawned for a pool of {max_procs}"
+    );
+    let second = pool.execute(&job).expect("run 2");
+    let stats = pool.stats();
+    assert_eq!(stats.connections_opened, spawned, "the second job must reuse the workers");
+    assert_eq!(
+        stats.sessions_reused - after_first.sessions_reused,
+        3,
+        "every shard of the second job ran on a kept worker"
+    );
+    assert_eq!(first.explanation.to_json_string(), reference);
+    assert_eq!(second.explanation.to_json_string(), reference);
+}

@@ -287,3 +287,74 @@ fn worker_panic_is_typed_never_retried_and_never_fallen_back() {
     assert_eq!(stats.retries, 0, "execution errors must not be retried: {stats:?}");
     assert!(!stats.degraded, "execution errors must not trigger fallback: {stats:?}");
 }
+
+#[test]
+fn a_reply_for_another_model_is_a_lying_worker_and_never_cached() {
+    let (data, model) = fixture();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    // Two runs of one single-attempt shard: exactly two connections, each
+    // answered with a well-formed result for the right shard of another
+    // model.
+    let liar = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            let request = xai::transport::read_frame(&mut &stream, "liar").expect("request");
+            let text = String::from_utf8(request).expect("UTF-8 descriptor");
+            let mut result = xai::shard::execute_wire_text(&text).expect("honest result");
+            result.fingerprint = "feedfacecafebeef".into();
+            xai::transport::write_frame(&mut &stream, result.to_json_string().as_bytes(), "liar")
+                .expect("reply");
+        }
+    });
+    let mut config = fast_config(vec![addr]);
+    config.retry.max_attempts = 1;
+    let runner = ClusterRunner::new(config).unwrap();
+    for run in 0..2 {
+        match run_loo(&runner, &data, &model, 1) {
+            Err(XaiError::Parse { context }) => {
+                assert!(context.contains("lying worker"), "run {run}: {context}")
+            }
+            other => panic!("run {run}: a reply for another model must be a Parse error, got {other:?}"),
+        }
+    }
+    let stats = runner.stats();
+    assert_eq!(
+        (stats.shard_cache_hits, stats.shard_cache_misses),
+        (0, 2),
+        "the lie must never enter the shard cache: {stats:?}"
+    );
+    liar.join().expect("liar thread");
+}
+
+#[test]
+fn a_pooled_stream_closed_while_idle_is_replaced_transparently() {
+    let (data, model) = fixture();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    // Each connection gets one honest answer and is then closed, the way
+    // a daemon drops a stream it no longer serves.
+    let server = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().expect("accept");
+            let request = xai::transport::read_frame(&mut &stream, "server").expect("request");
+            let text = String::from_utf8(request).expect("UTF-8 descriptor");
+            let result = xai::shard::execute_wire_text(&text).expect("result");
+            xai::transport::write_frame(&mut &stream, result.to_json_string().as_bytes(), "server")
+                .expect("reply");
+        }
+    });
+    let mut config = fast_config(vec![addr]);
+    config.retry.max_attempts = 1;
+    config.shard_cache_capacity = 0;
+    let runner = ClusterRunner::new(config).unwrap();
+    run_loo(&runner, &data, &model, 1).expect("first run");
+    run_loo(&runner, &data, &model, 1).expect("a stream closed while idle must not fail the run");
+    let stats = runner.stats();
+    assert_eq!(
+        (stats.sessions_reused, stats.connections_opened, stats.transport_failures),
+        (1, 2, 0),
+        "the dead pooled stream is replaced by one fresh connection: {stats:?}"
+    );
+    server.join().expect("server thread");
+}
